@@ -15,10 +15,10 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
-import io
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from importlib import resources
 
 import numpy as np
@@ -145,12 +145,16 @@ class ExperimentConfig:
 # output plumbing
 
 
-def _atomic_write(path: str, data: bytes) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+@contextmanager
+def _atomic_file(path: str):
+    """Text handle on a temp file beside path, renamed onto path on success.
+    The mode follows the umask as for open(); setting it is the only way to read it."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            os.umask(umask := os.umask(0))
+            os.chmod(tmp, 0o666 & ~umask)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -158,12 +162,16 @@ def _atomic_write(path: str, data: bytes) -> None:
         raise
 
 
+# every float in a CSV file; 17 significant digits round-trip exactly
+_FLOAT = "%.17g"
+
+
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return format(float(value), ".17g")
+    return _FLOAT % float(value)
 
 
 class OutputDir:
@@ -179,12 +187,12 @@ class OutputDir:
         return os.path.join(self.root, self.prefix + name)
 
     def write_csv(self, name: str, header, rows) -> str:
-        buf = io.StringIO()
-        buf.write(",".join(header) + "\n")
-        for row in rows:
-            buf.write(",".join(_fmt(v) for v in row) + "\n")
+        """Stream a CSV file; a row is a tuple of values or a str of formatted lines."""
         path = self.path(name)
-        _atomic_write(path, buf.getvalue().encode("utf-8"))
+        with _atomic_file(path) as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(row if isinstance(row, str) else ",".join(map(_fmt, row)) + "\n")
         self.written.append(self.prefix + name)
         return path
 
@@ -196,10 +204,12 @@ class OutputDir:
         for name in sorted(self.written):
             digest = hashlib.sha256()
             with open(os.path.join(self.root, name), "rb") as fh:
-                digest.update(fh.read())
-            lines.append(f"{digest.hexdigest()}  {name}")
+                for block in iter(lambda: fh.read(1 << 20), b""):
+                    digest.update(block)
+            lines.append(f"{digest.hexdigest()}  {name}\n")
         path = self.path("manifest.txt")
-        _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+        with _atomic_file(path) as fh:
+            fh.writelines(lines)
         return path
 
 
@@ -305,7 +315,20 @@ def _parse_levels(text: str) -> list:
 # subcommands
 
 
-def _cmd_simulate(cfg: ExperimentConfig, out: OutputDir, seed: int) -> int:
+def _trajectory_blocks(values: np.ndarray, grid: SpaceTimeGrid):
+    """trajectory.csv rows as one text block per time step: the coordinate
+    columns are formatted once, t once per step, the species in one %."""
+    n = values.shape[0]
+    mesh = np.meshgrid(*(grid.axis(k) for k in range(grid.ndim)), indexing="ij")
+    tail = ",".join([_FLOAT] * n) + "\n"
+    lines = [",".join(map(_fmt, node)) + "," + tail
+             for node in zip(*(axis.ravel() for axis in mesh))]
+    for k, t in enumerate(grid.times()):
+        prefix = _fmt(t) + ","
+        yield (prefix + prefix.join(lines)) % tuple(values[:, k].reshape(n, -1).T.ravel().tolist())
+
+
+def _cmd_simulate(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) -> int:
     grid = _build_grid(cfg)
     n = cfg.getint("domain", "species", minimum=0)
     f = _maybe_wrap(cfg, _build_reaction(cfg, n))
@@ -318,32 +341,20 @@ def _cmd_simulate(cfg: ExperimentConfig, out: OutputDir, seed: int) -> int:
 
     traj = solve(f, D, u0, grid, c=np.asarray(weights))
 
-    times = grid.times()
-    species_cols = [f"species_{i + 1}" for i in range(n)]
-    if grid.ndim == 1:
-        x = grid.axis(0)
-        header = ["t", "x"] + species_cols
-        rows = ((t, x[i]) + tuple(traj.values[:, k, i])
-                for k, t in enumerate(times) for i in range(grid.nodes[0]))
-    else:
-        x, y = grid.axis(0), grid.axis(1)
-        header = ["t", "x", "y"] + species_cols
-        rows = ((t, x[i], y[j]) + tuple(traj.values[:, k, i, j])
-                for k, t in enumerate(times)
-                for i in range(grid.nodes[0]) for j in range(grid.nodes[1]))
-    out.write_csv("trajectory.csv", header, rows)
+    header = ["t", *"xy"[:grid.ndim]] + [f"species_{i + 1}" for i in range(n)]
+    out.write_csv("trajectory.csv", header, _trajectory_blocks(traj.values, grid))
 
     masses = traj.masses
     out.write_csv(
         "diagnostics.csv", ["t", "min_u", "mass_weighted"],
-        ((t, float(traj.values[:, k].min()), masses[k]) for k, t in enumerate(times)),
+        ((t, float(traj.values[:, k].min()), masses[k]) for k, t in enumerate(grid.times())),
     )
     manifest = out.finish()
     print(f"simulated {n} species for {grid.steps} steps; wrote {manifest}")
     return 0
 
 
-def _cmd_check(cfg: ExperimentConfig, out: OutputDir, seed: int) -> int:
+def _cmd_check(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) -> int:
     from rdlearn.reaction import check_conditions
 
     n = cfg.getint("domain", "species", minimum=0)
@@ -355,7 +366,7 @@ def _cmd_check(cfg: ExperimentConfig, out: OutputDir, seed: int) -> int:
         raise ConfigError(f"reaction.box must be lo,hi with lo < hi, got {box}")
     weights = cfg.getfloats("reaction", "weights", default=[1.0] * n)
     report = check_conditions(f, [box[0]] * n, [box[1]] * n,
-                              samples=20_000, c=np.asarray(weights), seed=seed)
+                              samples=20_000, c=np.asarray(weights), seed=args.seed)
     rows = [("quasipositivity", int(report.quasipos_ok))]
     if report.mass_ok is not None:
         rows.append(("mass_control", int(report.mass_ok)))
@@ -367,7 +378,7 @@ def _cmd_check(cfg: ExperimentConfig, out: OutputDir, seed: int) -> int:
     return 0 if all(ok for _, ok in rows) else 1
 
 
-def _cmd_wrap_rates(cfg: ExperimentConfig, out: OutputDir, seed: int) -> int:
+def _cmd_wrap_rates(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) -> int:
     alpha = cfg.getfloat("schedule", "alpha", default=2.0, minimum=1.0)
     beta = cfg.getfloat("schedule", "beta", default=1.0, minimum=0.0)
     gamma = cfg.getfloat("schedule", "gamma", default=0.5, minimum=0.0)
@@ -385,7 +396,7 @@ def _cmd_wrap_rates(cfg: ExperimentConfig, out: OutputDir, seed: int) -> int:
         )
 
     study = rate_preservation_study(target, family, sched, [0.0], [1.0],
-                                    levels, seed=seed)
+                                    levels, seed=args.seed)
     out.write_csv("rates.csv", ["m", "eps", "sup_raw", "sup_wrapped", "fitted_slope"],
                   study.rows())
     out.finish()
@@ -394,20 +405,20 @@ def _cmd_wrap_rates(cfg: ExperimentConfig, out: OutputDir, seed: int) -> int:
     return 0
 
 
-def _cmd_quasipos(cfg: ExperimentConfig, out: OutputDir, seed: int) -> int:
+def _cmd_quasipos(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) -> int:
     dim = cfg.getint("domain", "species", default=2, minimum=0)
     rows = []
-    cube = BoundaryMeasure((1.0,) * dim, samples=100_000, seed=seed)
+    cube = BoundaryMeasure((1.0,) * dim, samples=100_000, seed=args.seed)
     for x in (0.1, 0.25, 0.5):
         est, hw = cube.estimate(x)
         rows.append(("unit_cube_layer", x, est, cube.measure(x), 3.0 * hw))
     for eps in (0.5, 0.1):
         layer = BoundaryLayer(eps, mode="nonlinear", dim=dim)
-        members = sample_members(layer, 2_000, seed=seed)
+        members = sample_members(layer, 2_000, seed=args.seed)
         rows.append(("distance_bound", eps,
                      float(members.min(axis=1).max()), eps ** (2.0 / dim), 0.0))
     if dim == 2:
-        report = nonlinear_volume_report(2, samples=100_000, seed=seed)
+        report = nonlinear_volume_report(2, samples=100_000, seed=args.seed)
         for box, est, hw in report.rows():
             rows.append(("plane_volume", box, est, 5.0 / 3.0, 3.0 * hw))
     out.write_csv("quasipos.csv",
@@ -417,7 +428,7 @@ def _cmd_quasipos(cfg: ExperimentConfig, out: OutputDir, seed: int) -> int:
     return 0
 
 
-def _cmd_transition(cfg: ExperimentConfig, out: OutputDir, seed: int) -> int:
+def _cmd_transition(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) -> int:
     eps = cfg.getfloat("wrapper", "eps", default=0.1, minimum=0.0)
     delta = cfg.getfloat("wrapper", "delta", default=eps / 2.0, minimum=0.0)
     chi = TransitionFunction(eps, delta, default_kernel())
@@ -430,8 +441,7 @@ def _cmd_transition(cfg: ExperimentConfig, out: OutputDir, seed: int) -> int:
     return 0
 
 
-def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, seed: int,
-               levels_flag: str | None) -> int:
+def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) -> int:
     n = cfg.getint("domain", "species", minimum=0)
     grid = _build_grid(cfg)
     if grid.ndim != 1:
@@ -455,7 +465,7 @@ def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, seed: int,
     if u0s.shape[1] != n:
         raise ConfigError(f"each trajectory in domain.initials needs {n} profiles")
 
-    levels_text = levels_flag or cfg.get("schedule", "levels", "1,2,3")
+    levels_text = args.levels or cfg.get("schedule", "levels", "1,2,3")
     levels = _parse_levels(levels_text)
     rule_name = cfg.get("noise", "delta_rule", "pow2")
     if rule_name == "pow2":
@@ -500,7 +510,7 @@ def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, seed: int,
 
     rows, results = identification_sweep(
         f_true, diffusion[0], u0s, grid, scheds, ops, widths,
-        box_lo=[box[0]] * n, box_hi=[box[1]] * n, seed=seed,
+        box_lo=[box[0]] * n, box_hi=[box[1]] * n, seed=args.seed,
         step=cfg.getfloat("optimizer", "step", default=0.05, minimum=0.0),
         max_iters=cfg.getint("optimizer", "max_iters", default=8000, minimum=0),
         sup_points=cfg.getint("optimizer", "sup_points", default=1024, minimum=0),
@@ -514,7 +524,7 @@ def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, seed: int,
         mlp = MLPReaction(widths, res.theta, level=sched.m)
         name = f"params_m{sched.m}.txt"
         tmp = out.path(name) + ".tmp"
-        save_params(tmp, mlp, seed=seed, eps=sched.eps)
+        save_params(tmp, mlp, seed=args.seed, eps=sched.eps)
         os.replace(tmp, out.path(name))
         out.note(name)
     out.finish()
@@ -525,7 +535,7 @@ def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, seed: int,
     return 0
 
 
-def _cmd_convergence(cfg: ExperimentConfig, out: OutputDir, seed: int) -> int:
+def _cmd_convergence(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) -> int:
     study = manufactured_convergence(
         diffusion=cfg.getfloat("reaction", "diffusion", default=0.7, minimum=0.0),
         extent=cfg.getfloat("domain", "extent", default=1.0, minimum=0.0),
@@ -549,17 +559,21 @@ def shipped_config(name: str) -> str:
     return str(resources.files("rdlearn").joinpath("configs", name))
 
 
+_COMMANDS = {  # subcommand -> (handler, whether --config is required)
+    "simulate": (_cmd_simulate, True), "check": (_cmd_check, True),
+    "wrap-rates": (_cmd_wrap_rates, False), "quasipos": (_cmd_quasipos, False),
+    "transition": (_cmd_transition, False), "learn": (_cmd_learn, True),
+    "convergence-study": (_cmd_convergence, False),
+}
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rdlearn",
         description="Reaction-diffusion consistency, simulation and learning experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in [
-        ("simulate", True), ("check", True), ("wrap-rates", False),
-        ("quasipos", False), ("transition", False), ("learn", True),
-        ("convergence-study", False),
-    ]:
+    for name, (_, needs_config) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=needs_config,
                        help="experiment config file (strict INI)")
@@ -577,21 +591,7 @@ def main(argv=None) -> int:
         cfg = (ExperimentConfig.load(args.config) if args.config
                else ExperimentConfig({}))
         out = OutputDir(args.out, prefix=cfg.get("output", "prefix", ""))
-        if args.command == "simulate":
-            return _cmd_simulate(cfg, out, args.seed)
-        if args.command == "check":
-            return _cmd_check(cfg, out, args.seed)
-        if args.command == "wrap-rates":
-            return _cmd_wrap_rates(cfg, out, args.seed)
-        if args.command == "quasipos":
-            return _cmd_quasipos(cfg, out, args.seed)
-        if args.command == "transition":
-            return _cmd_transition(cfg, out, args.seed)
-        if args.command == "learn":
-            return _cmd_learn(cfg, out, args.seed, args.levels)
-        if args.command == "convergence-study":
-            return _cmd_convergence(cfg, out, args.seed)
-        raise AssertionError(f"unhandled command {args.command}")
+        return _COMMANDS[args.command][0](cfg, out, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -169,26 +169,34 @@ class TransitionFunction:
     def __call__(self, x) -> np.ndarray:
         return self.evaluate(x)
 
+    def _regions(self, x: np.ndarray):
+        """Masks of x below eps + delta, inside the ramp, and NaN: the one
+        value that fails both comparisons, as eps - delta < eps + delta."""
+        below = x < self.eps + self.delta
+        above = x > self.eps - self.delta
+        return below, above & below, ~(above | below)
+
     def evaluate(self, x) -> np.ndarray:
-        """chi(x), vectorized. Plateau values are exact 1.0 / 0.0."""
+        """chi(x), vectorized. Plateau values are exact 1.0 / 0.0; NaN stays NaN."""
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        out = np.ones_like(x)
-        out[x >= self.eps + self.delta] = 0.0
-        ramp = (x > self.eps - self.delta) & (x < self.eps + self.delta)
+        below, ramp, nan = self._regions(x)
+        out = below.astype(float)
+        out[nan] = np.nan
         if np.any(ramp):
             arg = (x[ramp] - self.eps) / self.delta
             out[ramp] = 1.0 - self.kernel.integral_of(arg)
         return out[0] if scalar else out
 
     def derivative(self, x) -> np.ndarray:
-        """chi'(x) = -eta((x - eps)/delta) / delta, exact zero off-ramp."""
+        """chi'(x) = -eta((x - eps)/delta) / delta, exact zero off-ramp; NaN stays NaN."""
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
+        _, ramp, nan = self._regions(x)
         out = np.zeros_like(x)
-        ramp = (x > self.eps - self.delta) & (x < self.eps + self.delta)
+        out[nan] = np.nan
         if np.any(ramp):
             out[ramp] = -self.kernel((x[ramp] - self.eps) / self.delta) / self.delta
         return out[0] if scalar else out

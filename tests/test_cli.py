@@ -8,12 +8,17 @@ with small grids; the long sweeps live in the acceptance suite.
 
 import hashlib
 import os
+import stat
 
 import numpy as np
 import pytest
 
-from rdlearn.cli import ConfigError, ExperimentConfig, _parse_levels, main, shipped_config
-from rdlearn.rdsolve import SpaceTimeGrid
+from rdlearn.cli import (ConfigError, ExperimentConfig, _fmt, _parse_levels,
+                         _trajectory_blocks, main, shipped_config)
+from rdlearn.consistency import wrap
+from rdlearn.rdsolve import DiffusionSpec, SpaceTimeGrid, solve
+from rdlearn.reaction import make_reaction
+from rdlearn.transition import TransitionFunction, default_kernel
 
 
 SIM_CFG = """\
@@ -66,6 +71,27 @@ strides = 4,2,1
 step = 0.05
 max_iters = 30
 sup_points = 64
+"""
+
+
+SIM_2D_CFG = """\
+[domain]
+extent = 1.0,2.0
+species = 2
+initial = cosine:0.6,0.2,1|cosine:0.2,0.1,2
+
+[grid]
+nodes = 9,7
+horizon = 0.05
+steps = 5
+
+[reaction]
+name = gray-scott
+diffusion = 0.002,0.001
+weights = 1.0,0.5
+
+[wrapper]
+eps = 0.2
 """
 
 
@@ -210,6 +236,79 @@ def test_simulate_row_count_covers_the_full_grid(tmp_path):
     with open(os.path.join(out, "trajectory.csv")) as fh:
         rows = sum(1 for _ in fh) - 1
     assert rows == 31 * 61
+
+
+def reference_rows(values, grid):
+    """trajectory.csv data lines built row by row, one value at a time."""
+    axes = [grid.axis(k) for k in range(grid.ndim)]
+    lines = []
+    for k, t in enumerate(grid.times()):
+        for node in np.ndindex(*grid.nodes):
+            row = [t, *(axes[a][i] for a, i in enumerate(node)), *values[(slice(None), k, *node)]]
+            lines.append(",".join(format(float(v), ".17g") for v in row) + "\n")
+    return "".join(lines)
+
+
+def cosine(grid, base, amp, modes):
+    scaled = [grid.axis(k) / grid.extents[k] for k in range(grid.ndim)]
+    wave = np.cos(np.pi * modes * scaled[0])
+    if grid.ndim == 2:
+        wave = np.outer(wave, np.cos(np.pi * modes * scaled[1]))
+    return base + amp * wave
+
+
+@pytest.mark.parametrize("case", ["fisher-kpp-1d", "gray-scott-2d"])
+def test_trajectory_bytes_match_a_row_by_row_reference(case, tmp_path):
+    chi = TransitionFunction(0.2, 0.1, default_kernel())
+    if case == "fisher-kpp-1d":
+        cfg = shipped_config("fisher-kpp.cfg")
+        grid = SpaceTimeGrid(2.0, 61, 1.0, 240)
+        f, D, c = wrap(make_reaction("fisher-kpp"), chi), DiffusionSpec((0.05,)), None
+        u0 = cosine(grid, 0.5, 0.4, 1)[None]
+        header = "t,x,species_1\n"
+    else:
+        cfg = write(tmp_path, SIM_2D_CFG)
+        grid = SpaceTimeGrid((1.0, 2.0), (9, 7), 0.05, 5)
+        f, D = wrap(make_reaction("gray-scott"), chi), DiffusionSpec((0.002, 0.001))
+        c = np.array([1.0, 0.5])
+        u0 = np.stack([cosine(grid, 0.6, 0.2, 1), cosine(grid, 0.2, 0.1, 2)])
+        header = "t,x,y,species_1,species_2\n"
+    out = str(tmp_path / "o")
+    assert main(["simulate", "--config", cfg, "--out", out]) == 0
+    traj = solve(f, D, u0, grid, c=c)
+    with open(os.path.join(out, "trajectory.csv"), newline="") as fh:
+        assert fh.read() == header + reference_rows(traj.values, grid)
+
+
+SPECIAL_FLOATS = {-0.0: "-0", 5e-324: "4.9406564584124654e-324", 1e22: "1e+22",
+                  float("nan"): "nan", float("inf"): "inf"}
+
+
+@pytest.mark.parametrize("value", list(SPECIAL_FLOATS), ids=list(SPECIAL_FLOATS.values()))
+def test_special_floats_format_as_17_significant_digits(value):
+    text = SPECIAL_FLOATS[value]
+    assert _fmt(value) == _fmt(np.float64(value)) == format(value, ".17g") == text
+    # the per-step block path gives the same text as the row-by-row reference
+    grid = SpaceTimeGrid(1.0, 3, 1.0, 1)
+    values = np.full((2, 2, 3), value)
+    values[1, 1, 2] = 0.1
+    assert "".join(_trajectory_blocks(values, grid)) == reference_rows(values, grid)
+
+
+def test_output_files_follow_the_umask(tmp_path):
+    sim = write(tmp_path, SIM_CFG)
+    learn = write(tmp_path, LEARN_CFG.replace("strides = 4,2,1", "strides = 2"), "learn.cfg")
+    old = os.umask(0o022)
+    try:
+        assert main(["simulate", "--config", sim, "--out", str(tmp_path / "sim")]) == 0
+        assert main(["learn", "--config", learn, "--out", str(tmp_path / "learn"),
+                     "--levels", "2"]) == 0
+    finally:
+        os.umask(old)
+    modes = {(d, name): stat.S_IMODE(os.stat(tmp_path / d / name).st_mode)
+             for d in ("sim", "learn") for name in os.listdir(tmp_path / d)}
+    assert ("learn", "params_m2.txt") in modes and ("sim", "trajectory.csv") in modes
+    assert modes == dict.fromkeys(modes, 0o644)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,17 @@ def test_plateaus_bitwise_exact():
     assert np.all(chi.derivative(np.array([0.05, 0.1, 0.3, 2.0])) == 0.0)
 
 
+def test_non_finite_input_is_not_hidden_by_the_plateaus():
+    chi = build_mollified_heaviside(0.2)
+    x = np.array([np.nan, -np.inf, np.inf, 0.05, 2.0])
+    value, slope = chi(x), chi.derivative(x)
+    assert np.isnan(value[0]) and np.isnan(slope[0])
+    assert np.isnan(chi(np.nan)) and np.isnan(chi.derivative(np.nan))
+    # +-inf and the plateaus stay bitwise +1.0 / +0.0
+    assert value[1:].view(np.uint64).tolist() == np.array([1.0, 0.0, 1.0, 0.0]).view(np.uint64).tolist()
+    assert slope[1:].view(np.uint64).tolist() == np.zeros(4).view(np.uint64).tolist()
+
+
 def test_derivative_matches_central_differences():
     from scipy.stats import qmc
 
