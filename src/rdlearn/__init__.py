@@ -13,7 +13,6 @@ from rdlearn.consistency import (
     rate_preservation_study,
     strict_rate_estimate,
     wrap,
-    wrap_gradient,
 )
 from rdlearn.learn import (
     AllAtOnceProblem,
@@ -111,7 +110,6 @@ __all__ = [
     "solve_level",
     "strict_rate_estimate",
     "wrap",
-    "wrap_gradient",
 ]
 
 __version__ = "0.1.0"

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.stats import qmc
 
 
 def as_box(lo, hi, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -26,11 +27,46 @@ def as_box(lo, hi, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+def _first_primes(count: int) -> list[int]:
+    primes: list[int] = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def _scrambled_halton(n: int, dim: int, seed: int) -> np.ndarray:
+    """Owen-scrambled Halton points in [0, 1)^dim, shape (n, dim).
+
+    One generator drawn from `seed` shuffles, base by base over the first
+    `dim` primes, one digit permutation per digit position that a double
+    resolves (base^-k > 2^-54); point i is the van der Corput sum of the
+    permuted base-b digits of i. This is the sequence of
+    scipy.stats.qmc.Halton(dim, scramble=True, seed=seed), bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    cols = []
+    for base in _first_primes(dim):
+        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        index = np.arange(n)
+        col = np.zeros(n)
+        scale = 1.0 / base
+        for perm in perms:
+            col += perm[index % base] * scale
+            scale /= base
+            index //= base
+        cols.append(col)
+    return np.array(cols).T.reshape(n, dim)
+
+
 def halton_box(n: int, lo, hi, seed: int = 0) -> np.ndarray:
     """n quasi-random points in the box [lo, hi], shape (n, dim)."""
     lo, hi = as_box(lo, hi)
-    sampler = qmc.Halton(d=lo.size, scramble=True, seed=seed)
-    pts = sampler.random(n)
+    pts = _scrambled_halton(n, lo.size, seed)
     return lo + pts * (hi - lo)
 
 

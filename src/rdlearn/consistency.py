@@ -47,6 +47,47 @@ from rdlearn.reaction import MLPReaction, ReactionTerm, _atleast_batch
 from rdlearn.transition import TransitionFunction, build_mollified_heaviside
 
 
+def lift(f, chi_u):
+    """The wrapped value f - P_-(f) chi: the negative part of f ramped off."""
+    return f - np.minimum(f, 0.0) * chi_u
+
+
+class Cutoffs:
+    """chi(u_n) per component of a batch (S, N), and chi'(u_n) on first use.
+
+    Hold one for a point set that does not change, and its cutoffs are
+    evaluated once.
+    """
+
+    def __init__(self, chi_list, u: np.ndarray):
+        self.chi_list, self.u = chi_list, u
+        self.values = np.column_stack([chi(u[:, n]) for n, chi in enumerate(chi_list)])
+        self._derivatives = None
+
+    @property
+    def derivatives(self) -> np.ndarray:
+        if self._derivatives is None:
+            self._derivatives = np.column_stack(
+                [chi.derivative(self.u[:, n]) for n, chi in enumerate(self.chi_list)]
+            )
+        return self._derivatives
+
+
+@dataclass(frozen=True)
+class WrappedTape:
+    """The forward pass of a wrapped network over a batch.
+
+    `value` is the wrapped term; `f` and `acts` are the base network's
+    output and layer inputs, and `cut` the batch's cutoffs, which the
+    reverse pass (`ConsistentReaction.value_vjp`) replays.
+    """
+
+    cut: Cutoffs
+    f: np.ndarray
+    acts: list
+    value: np.ndarray
+
+
 @dataclass(frozen=True)
 class ConsistencyConstants:
     """Derived mass-control and growth constants of a wrapped term."""
@@ -79,7 +120,6 @@ class ConsistentReaction(ReactionTerm):
                     f"need one cutoff per species ({self.n_species}), "
                     f"got {len(self.chi_list)}"
                 )
-        self.chi = self.chi_list[0]
         self.c = np.ones(self.n_species) if c is None else np.asarray(c, dtype=float)
         if self.c.shape != (self.n_species,) or np.any(self.c <= 0):
             raise ValueError("weights c must be positive, one per species")
@@ -93,56 +133,66 @@ class ConsistentReaction(ReactionTerm):
 
     # -- evaluation ----------------------------------------------------
 
+    def cutoffs(self, u) -> Cutoffs:
+        """The cutoffs of a batch (S, N); chi' is evaluated when first read."""
+        return Cutoffs(self.chi_list, u)
+
     def chi_values(self, u) -> np.ndarray:
         """chi(u_n) per component, matching the batch shape of u."""
         ub, single = _atleast_batch(u, self.n_species)
-        out = np.column_stack([chi(ub[:, n]) for n, chi in enumerate(self.chi_list)])
-        return out[0] if single else out
-
-    def chi_derivatives(self, u) -> np.ndarray:
-        ub, single = _atleast_batch(u, self.n_species)
-        out = np.column_stack(
-            [chi.derivative(ub[:, n]) for n, chi in enumerate(self.chi_list)]
-        )
+        out = self.cutoffs(ub).values
         return out[0] if single else out
 
     def eval(self, u):
         ub, single = _atleast_batch(u, self.n_species)
-        f = self.base.eval(ub)
-        chi_u = self.chi_values(ub)
-        out = f - np.minimum(f, 0.0) * chi_u
+        out = lift(self.base.eval(ub), self.chi_values(ub))
         return out[0] if single else out
 
-    def jacobian(self, u):
+    def jacobian(self, u, cut: Cutoffs | None = None):
         """Almost-everywhere gradient of the wrapped term.
 
         Row n is (1 - 1_{f_n<0} chi(u_n)) * grad f_n, with the extra
-        rank-one piece -P_-(f_n) chi'(u_n) on the diagonal.
+        rank-one piece -P_-(f_n) chi'(u_n) on the diagonal. `cut` may
+        carry the batch's cutoffs when they are already known.
         """
         ub, single = _atleast_batch(u, self.n_species)
-        f = self.base.eval(ub)
-        J = self.base.jacobian(ub)
-        chi_u = self.chi_values(ub)
-        dchi = self.chi_derivatives(ub)
+        f, J = self.base.value_and_jacobian(ub)
+        cut = self.cutoffs(ub) if cut is None else cut
         neg = f < 0.0
-        scale = 1.0 - neg * chi_u
+        scale = 1.0 - neg * cut.values
         out = scale[:, :, None] * J
         diag = np.arange(self.n_species)
-        out[:, diag, diag] -= np.minimum(f, 0.0) * dchi
+        out[:, diag, diag] -= np.minimum(f, 0.0) * cut.derivatives
         return out[0] if single else out
 
     # -- reverse-mode helpers for parameterized bases -------------------
 
-    def value_vjp(self, u, cotangent):
-        """(theta_grad, u_grad) of <cotangent, fbar(u)> for an MLP base."""
+    def forward(self, u, cut: Cutoffs | None = None) -> WrappedTape:
+        """The wrapped value of a batch (S, N) with the tape of its pass.
+
+        `cut` may carry the batch's cutoffs when they are already known;
+        chi' is evaluated only if the tape is replayed.
+        """
+        self._require_param()
+        ub, _ = _atleast_batch(u, self.n_species)
+        cut = self.cutoffs(ub) if cut is None else cut
+        f, acts = self.base.forward(ub)
+        return WrappedTape(cut, f, acts, lift(f, cut.values))
+
+    def value_vjp(self, u, cotangent, tape: WrappedTape | None = None):
+        """(theta_grad, u_grad) of <cotangent, fbar(u)> for an MLP base.
+
+        `tape` is the result of `forward` on the same batch; without it
+        the forward pass runs here.
+        """
         self._require_param()
         ub, _ = _atleast_batch(u, self.n_species)
         cot, _ = _atleast_batch(cotangent, self.n_species)
-        f = self.base.eval(ub)
-        chi_u = self.chi_values(ub)
-        scale = 1.0 - (f < 0.0) * chi_u
-        theta_grad, u_grad = self.base.vjp(ub, cot * scale)
-        u_grad = u_grad - cot * np.minimum(f, 0.0) * self.chi_derivatives(ub)
+        tape = self.forward(ub) if tape is None else tape
+        f = tape.f
+        scale = 1.0 - (f < 0.0) * tape.cut.values
+        theta_grad, u_grad = self.base.vjp(ub, cot * scale, (f, tape.acts))
+        u_grad = u_grad - cot * np.minimum(f, 0.0) * tape.cut.derivatives
         return theta_grad, u_grad
 
     def jac_vjp(self, u, cot_jac, cot_val=None):
@@ -153,13 +203,12 @@ class ConsistentReaction(ReactionTerm):
         if single:
             cot_jac = cot_jac[None]
         f = self.base.eval(ub)
-        chi_u = self.chi_values(ub)
-        dchi = self.chi_derivatives(ub)
+        cut = self.cutoffs(ub)
         neg = f < 0.0
-        scale = 1.0 - neg * chi_u
+        scale = 1.0 - neg * cut.values
         base_cot_jac = scale[:, :, None] * cot_jac
         diag = np.arange(self.n_species)
-        base_cot_val = -(neg * dchi * cot_jac[:, diag, diag])
+        base_cot_val = -(neg * cut.derivatives * cot_jac[:, diag, diag])
         if cot_val is not None:
             cv, _ = _atleast_batch(cot_val, self.n_species)
             base_cot_val = base_cot_val + cv * scale
@@ -202,7 +251,7 @@ class ConsistentReaction(ReactionTerm):
         return self.local_lipschitz(M)
 
     def __repr__(self):
-        return f"ConsistentReaction(base={self.base!r}, chi={self.chi!r})"
+        return f"ConsistentReaction(base={self.base!r}, chi_list={self.chi_list!r})"
 
 
 def wrap(f: ReactionTerm, chi, c=None, lipschitz=None) -> ConsistentReaction:
@@ -223,11 +272,6 @@ def wrap(f: ReactionTerm, chi, c=None, lipschitz=None) -> ConsistentReaction:
         Externally supplied Lipschitz bound (labelled "sampled").
     """
     return ConsistentReaction(f, chi, c=c, lipschitz=lipschitz)
-
-
-def wrap_gradient(g: ConsistentReaction, u) -> np.ndarray:
-    """Almost-everywhere gradient of a wrapped term at u."""
-    return g.jacobian(u)
 
 
 @dataclass(frozen=True)

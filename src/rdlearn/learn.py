@@ -332,6 +332,15 @@ class AllAtOnceProblem:
 
         self._mlp = MLPReaction(self.widths,
                                 np.zeros(MLPReaction.parameter_count(self.widths)))
+        # the quadrature and sup points never move: their cutoffs are
+        # evaluated once
+        fixed = wrap(self._mlp, chi, c=self.c)
+        self._l2_cut = fixed.cutoffs(self._l2_pts)
+        self._sup_cut = fixed.cutoffs(self._sup_pts)
+        self._w = grid.quadrature_weights()
+        self._tw = np.full(grid.steps + 1, grid.dt)
+        self._tw[0] = self._tw[-1] = grid.dt / 2.0
+        self._last = None  # (x, terms, tape) of the last point evaluated
         K, M = grid.steps, grid.nodes[0]
         L, N = self.n_traj, self.n_species
         self._shapes = ((L, N), (L, N, K + 1, M), (L, N, M),
@@ -382,29 +391,31 @@ class AllAtOnceProblem:
         return float(sum(self.objective_terms(x).values()))
 
     def objective_terms(self, x) -> dict:
-        terms, _ = self._terms(x, want_grad=False)
-        return terms
+        return dict(self._forward(x)[0])
 
     def gradient(self, x) -> np.ndarray:
-        _, grad = self._terms(x, want_grad=True)
-        return grad
+        return self._reverse(self._forward(x)[1])
 
-    def _terms(self, x, want_grad: bool):
+    def _forward(self, x):
+        """Objective terms at x and the tape that `_reverse` replays.
+
+        The terms and tape of the last point are kept with a copy of it, so
+        the gradient (or the terms) at the point a line search has just
+        accepted costs no second forward pass.
+        """
+        x = np.asarray(x, dtype=float)
+        if (self._last is not None and self._last[0].shape == x.shape
+                and self._last[0].tobytes() == x.tobytes()):
+            return self._last[1], self._last[2]
+        x = x.copy()
         D, u, u0, theta = self.unpack(x)
         sched = self.schedule
         grid = self.grid
         dt, h = grid.dt, grid.h[0]
         K, M = grid.steps, grid.nodes[0]
-        L, N = self.n_traj, self.n_species
-        w = grid.quadrature_weights()
-        tw = np.full(K + 1, dt)
-        tw[0] = tw[-1] = dt / 2.0
+        N = self.n_species
+        w, tw = self._w, self._tw
         fbar = self.reaction(theta)
-
-        gD = np.zeros_like(D)
-        gu = np.zeros_like(u)
-        gu0 = np.zeros_like(u0)
-        gth = np.zeros_like(theta)
         terms = {}
 
         # base regularization R0 = |D|^2 + |u|_V^p + |u0|_H^2
@@ -415,44 +426,33 @@ class AllAtOnceProblem:
         v_val, v_slope = _powered(s_v, sched.p / 2.0)
         terms["state_reg"] = v_val
         terms["initial_reg"] = float(np.einsum("lnm,m->", u0 * u0, w))
-        if want_grad:
-            gD += 2.0 * D
-            gu += v_slope * 2.0 * tw[None, None, :, None] * u * w
-            dadj = np.zeros_like(u)
-            dadj[..., :-1] -= diff
-            dadj[..., 1:] += diff
-            gu += v_slope * 2.0 * tw[None, None, :, None] * dadj / h
-            gu0 += 2.0 * u0 * w
 
         # nu |theta|
         tn = float(np.linalg.norm(theta))
         terms["theta_reg"] = sched.nu * tn
-        if want_grad and tn > 0.0:
-            gth += sched.nu * theta / tn
 
         # |fbar|^2 on the reaction box, fixed trapezoid rule
-        fq = fbar.eval(self._l2_pts)
+        l2 = fbar.forward(self._l2_pts, self._l2_cut)
+        fq = l2.value
         terms["reaction_l2"] = float(np.sum(self._l2_w * np.sum(fq * fq, axis=1)))
-        if want_grad:
-            tg, _ = fbar.value_vjp(self._l2_pts, 2.0 * self._l2_w[:, None] * fq)
-            gth += tg
 
         # sampled sup of |grad fbar| on the box (Frobenius, lowest argmax)
-        J = fbar.jacobian(self._sup_pts)
+        J = fbar.jacobian(self._sup_pts, self._sup_cut)
         norms = np.sqrt(np.sum(J * J, axis=(1, 2)))
         idx = int(np.argmax(norms))
         terms["reaction_grad_sup"] = float(norms[idx])
-        if want_grad and norms[idx] > 0.0:
-            gth += fbar.jac_vjp(self._sup_pts[idx][None], (J[idx] / norms[idx])[None])
+        sup_cot = J[idx] / norms[idx] if norms[idx] > 0.0 else None
 
         # trajectory blocks
         res_total = 0.0
         init_total = 0.0
         mis_total = 0.0
-        for l in range(L):
+        blocks = []
+        for l in range(self.n_traj):
             ul = u[l]
             pts = ul[:, :-1].reshape(N, K * M).T
-            fvals = fbar.eval(pts).T.reshape(N, K, M)
+            tl = fbar.forward(pts)
+            fvals = tl.value.T.reshape(N, K, M)
             lap_next = _laplacian(ul[:, 1:], h)
             res = (ul[:, 1:] - ul[:, :-1]) / dt - D[l][:, None, None] * lap_next - fvals
             s_res = float(dt * np.einsum("nkm,m->", res * res, w))
@@ -467,21 +467,7 @@ class AllAtOnceProblem:
             s_y = float(np.sum(dmis * dmis))
             y_val, y_slope = _powered(s_y, sched.r / 2.0)
             mis_total += sched.mu * y_val
-
-            if want_grad:
-                G = sched.lam * r_slope * 2.0 * dt * res * w
-                gu[l][:, 1:] += G / dt - D[l][:, None, None] * _laplacian_adjoint(G, h)
-                gu[l][:, :-1] -= G / dt
-                tg, ug = fbar.value_vjp(pts, -G.reshape(N, K * M).T)
-                gth += tg
-                gu[l][:, :-1] += ug.T.reshape(N, K, M)
-                gD[l] -= np.einsum("nkm,nkm->n", G, lap_next)
-
-                gu[l][:, 0] += 2.0 * sched.lam * d0 * w
-                gu0[l] -= 2.0 * sched.lam * d0 * w
-
-                gy = sched.mu * y_slope * 2.0 * dmis
-                gu[l] += self.operator.adjoint(gy, grid)
+            blocks.append((pts, tl, res, r_slope, lap_next, d0, dmis, y_slope))
 
         terms["residual"] = res_total
         terms["init_misfit"] = init_total
@@ -490,9 +476,57 @@ class AllAtOnceProblem:
         for name, value in terms.items():
             if not math.isfinite(value):
                 raise FloatingPointError(f"objective term '{name}' is not finite")
-        if not want_grad:
-            return terms, None
-        return terms, self.pack(gD, gu, gu0, gth)
+        tape = (fbar, D, u, u0, theta, diff, v_slope, tn, l2, idx, sup_cot, blocks)
+        self._last = (x, terms, tape)
+        return terms, tape
+
+    def _reverse(self, tape) -> np.ndarray:
+        """The packed gradient, from the tape of one `_forward` pass."""
+        fbar, D, u, u0, theta, diff, v_slope, tn, l2, idx, sup_cot, blocks = tape
+        sched = self.schedule
+        grid = self.grid
+        dt, h = grid.dt, grid.h[0]
+        K, M = grid.steps, grid.nodes[0]
+        N = self.n_species
+        w, tw = self._w, self._tw
+
+        # sums start from +0.0, so an entry whose first term is -0.0 comes
+        # out +0.0
+        gD = np.zeros_like(D)
+        gu = np.zeros_like(u)
+        gu0 = np.zeros_like(u0)
+        gth = np.zeros_like(theta)
+
+        gD += 2.0 * D
+        gu += v_slope * 2.0 * tw[None, None, :, None] * u * w
+        dadj = np.zeros_like(u)
+        dadj[..., :-1] -= diff
+        dadj[..., 1:] += diff
+        gu += v_slope * 2.0 * tw[None, None, :, None] * dadj / h
+        gu0 += 2.0 * u0 * w
+        if tn > 0.0:
+            gth += sched.nu * theta / tn
+        tg, _ = fbar.value_vjp(self._l2_pts, 2.0 * self._l2_w[:, None] * l2.value, l2)
+        gth += tg
+        if sup_cot is not None:
+            gth += fbar.jac_vjp(self._sup_pts[idx][None], sup_cot[None])
+
+        for l, (pts, tl, res, r_slope, lap_next, d0, dmis, y_slope) in enumerate(blocks):
+            G = sched.lam * r_slope * 2.0 * dt * res * w
+            gu[l][:, 1:] += G / dt - D[l][:, None, None] * _laplacian_adjoint(G, h)
+            gu[l][:, :-1] -= G / dt
+            tg, ug = fbar.value_vjp(pts, -G.reshape(N, K * M).T, tl)
+            gth += tg
+            gu[l][:, :-1] += ug.T.reshape(N, K, M)
+            gD[l] -= np.einsum("nkm,nkm->n", G, lap_next)
+
+            gu[l][:, 0] += 2.0 * sched.lam * d0 * w
+            gu0[l] -= 2.0 * sched.lam * d0 * w
+
+            gy = sched.mu * y_slope * 2.0 * dmis
+            gu[l] += self.operator.adjoint(gy, grid)
+
+        return self.pack(gD, gu, gu0, gth)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rdlearn._sampling import box_quadrature, halton_box, sup_sample
+from rdlearn.consistency import lift
 from rdlearn.transition import TransitionFunction, default_kernel
 
 _MODES = ("metric", "componentwise", "nonlinear")
@@ -205,8 +206,7 @@ class ModifiedFunction:
     def __call__(self, points) -> np.ndarray:
         pts, single = self.layer._normalize(points)
         v = np.asarray(self.base(pts), dtype=float).reshape(pts.shape[0])
-        cut = self.chi(self.layer.level_value(pts))
-        out = v - np.minimum(v, 0.0) * cut
+        out = lift(v, self.chi(self.layer.level_value(pts)))
         return out[0] if single else out
 
 

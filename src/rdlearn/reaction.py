@@ -74,6 +74,10 @@ class ReactionTerm:
         jac = np.stack(cols, axis=-1)
         return jac[0] if single else jac
 
+    def value_and_jacobian(self, u):
+        """(f(u), df/du(u)); a term whose two share one pass overrides it."""
+        return self.eval(u), self.jacobian(u)
+
     def lipschitz_bound(self, lo=None, hi=None):
         """Certified Lipschitz bound if one is available, else None."""
         return None
@@ -269,7 +273,12 @@ class MLPReaction(ReactionTerm):
         return MLPReaction(self.widths, theta, level=self.level,
                            psi_bound=self.psi_bound, bound_active=False)
 
-    def _forward(self, U):
+    def forward(self, U):
+        """The forward pass over a batch (S, N), kept as a tape.
+
+        Returns (z, acts): the output and the input of every layer, which
+        is what `vjp` replays instead of running the pass again.
+        """
         acts = [U]
         a = U
         last = len(self._layers) - 1
@@ -282,7 +291,7 @@ class MLPReaction(ReactionTerm):
 
     def eval(self, u):
         ub, single = _atleast_batch(u, self.n_species)
-        out, _ = self._forward(ub)
+        out, _ = self.forward(ub)
         return out[0] if single else out
 
     def jacobian(self, u):
@@ -298,39 +307,36 @@ class MLPReaction(ReactionTerm):
         return f, J
 
     def _value_jac_state(self, U):
-        """Forward pass carrying df/du alongside the activations.
+        """The forward pass, then df/du carried through its activations.
 
         Returns (f, acts, J, A_list, Z_list) where A_list[i] = da_i/du and
         Z_list[i] = dz_{i+1}/du; the lists feed the reverse pass below.
         """
         S, N = U.shape
-        acts = [U]
+        f, acts = self.forward(U)
         A = np.broadcast_to(np.eye(N), (S, N, N)).copy()
         A_list = [A]
         Z_list = []
-        a = U
-        last = len(self._layers) - 1
-        for i, (W, b) in enumerate(self._layers):
-            z = a @ W.T + b
+        for i, (W, _) in enumerate(self._layers):
             Z = np.einsum("oi,sij->soj", W, A)
             Z_list.append(Z)
-            if i < last:
-                a = np.tanh(z)
-                acts.append(a)
-                s = 1.0 - a * a
-                A = s[:, :, None] * Z
+            if i + 1 < len(self._layers):
+                a = acts[i + 1]
+                A = (1.0 - a * a)[:, :, None] * Z
                 A_list.append(A)
-        return z, acts, Z_list[-1], A_list, Z_list
+        return f, acts, Z_list[-1], A_list, Z_list
 
-    def vjp(self, u, cotangent):
+    def vjp(self, u, cotangent, tape=None):
         """Reverse pass for the value: returns (theta_grad, u_grad).
 
         theta_grad is d<cotangent, f(u)>/dtheta (flat), u_grad the same
-        quantity differentiated in u, shape of the batch.
+        quantity differentiated in u, shape of the batch. `tape` is the
+        result of `forward` on the same batch; without it the forward
+        pass runs here.
         """
         ub, single = _atleast_batch(u, self.n_species)
         cot, _ = _atleast_batch(cotangent, self.n_species)
-        _, acts = self._forward(ub)
+        _, acts = self.forward(ub) if tape is None else tape
         gW = [None] * len(self._layers)
         gb = [None] * len(self._layers)
         delta = cot

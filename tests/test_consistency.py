@@ -18,7 +18,6 @@ from rdlearn.consistency import (
     rate_preservation_study,
     strict_rate_estimate,
     wrap,
-    wrap_gradient,
 )
 from rdlearn.reaction import AnalyticReaction, MLPReaction, check_conditions, make_reaction
 from rdlearn.transition import build_mollified_heaviside
@@ -110,7 +109,7 @@ def test_jacobian_matches_finite_differences_away_from_kinks():
     pts = rng.uniform(0.05, 0.35, size=(50, 3))
     keep = np.all(np.abs(mlp.eval(pts)) > 1e-3, axis=1)
     pts = pts[keep]
-    J = wrap_gradient(g, pts)
+    J = g.jacobian(pts)
     h = 1e-6
     Jfd = np.zeros_like(J)
     for j in range(3):

@@ -325,6 +325,37 @@ def test_gradient_matches_central_differences():
         assert abs(fd - float(g @ v)) <= 1e-5 * max(1.0, abs(fd))
 
 
+def test_gradient_from_a_kept_forward_pass_is_bitwise_fresh():
+    """The problem keeps the forward pass of the last point it evaluated;
+    a gradient taken from it equals one from a fresh problem, and neither
+    another point nor an in-place change of x reuses a stale pass."""
+    rng = np.random.default_rng(11)
+    op = MeasurementOperator("subsample", stride=2)
+    data = rng.standard_normal((2, 1, 5, 5))
+
+    def fresh():
+        return small_problem(op, data, widths=(1, 6, 1))
+
+    prob = fresh()
+    x = prob.initial_iterate(seed=2) + 0.1 * rng.standard_normal(prob.n_variables)
+    y = x + 0.05 * rng.standard_normal(x.size)
+    expected = fresh().gradient(x)
+
+    prob.objective(x)
+    assert prob.gradient(x).tobytes() == expected.tobytes()
+    assert prob.objective_terms(x) == fresh().objective_terms(x)
+
+    prob.objective(y)
+    assert prob.gradient(x).tobytes() == expected.tobytes()
+    assert prob.gradient(y).tobytes() == fresh().gradient(y).tobytes()
+
+    z = x.copy()
+    prob.objective(z)
+    z[-1] += 0.25
+    assert prob.gradient(z).tobytes() == fresh().gradient(z).tobytes()
+    assert prob.objective(z) == fresh().objective(z)
+
+
 def test_parameter_norm_gradient_is_the_unit_radial_field():
     # two schedules differing only in nu isolate the |theta| term
     truth = diffusion_truth()

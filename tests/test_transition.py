@@ -53,6 +53,29 @@ def test_antiderivative_endpoints_and_symmetry():
     assert k.integral_of(np.array([0.0]))[0] == pytest.approx(0.5, abs=1e-8)
 
 
+@pytest.mark.parametrize("panels", [32_768, 3_006])
+def test_table_evaluation_equals_the_interpolant_bitwise(panels):
+    """integral_of sums the PCHIP pieces itself on large batches; it must
+    give the very bits PchipInterpolator gives, at every node, at both
+    float neighbours of each node and at random points inside (-1, 1),
+    and on a batch too small for the table path. The second table's
+    node spacing is not a power of two, so its interval guess can fall on
+    either side of the right one."""
+    k = MollifierKernel(panels)
+    nodes = k.nodes
+    pts = np.concatenate([
+        nodes,
+        np.nextafter(nodes, -np.inf),
+        np.nextafter(nodes, np.inf),
+        np.random.default_rng(3).uniform(-1.0, 1.0, 100_000),
+    ])
+    pts = pts[(pts > -1.0) & (pts < 1.0)]
+    assert pts.size > 3 * nodes.size
+    ours = k.integral_of(pts)
+    assert ours.tobytes() == k.antiderivative(pts).tobytes()
+    assert k.integral_of(pts[:1023]).tobytes() == k.antiderivative(pts[:1023]).tobytes()
+
+
 def test_closed_form_matches_convolution_oracle():
     k = default_kernel()
     eps = 0.2
@@ -79,6 +102,7 @@ def test_non_finite_input_is_not_hidden_by_the_plateaus():
     value, slope = chi(x), chi.derivative(x)
     assert np.isnan(value[0]) and np.isnan(slope[0])
     assert np.isnan(chi(np.nan)) and np.isnan(chi.derivative(np.nan))
+    assert np.isnan(chi.kernel.integral_of(x)).tolist() == [True] + [False] * 4
     # +-inf and the plateaus stay bitwise +1.0 / +0.0
     assert value[1:].view(np.uint64).tolist() == np.array([1.0, 0.0, 1.0, 0.0]).view(np.uint64).tolist()
     assert slope[1:].view(np.uint64).tolist() == np.zeros(4).view(np.uint64).tolist()
