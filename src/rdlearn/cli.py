@@ -28,7 +28,7 @@ from rdlearn.learn import MeasurementOperator, identification_sweep, make_schedu
 from rdlearn.quasipos import BoundaryLayer, BoundaryMeasure, nonlinear_volume_report, sample_members
 from rdlearn.rdsolve import DiffusionSpec, SpaceTimeGrid, manufactured_convergence, solve
 from rdlearn.reaction import AnalyticReaction, MLPReaction, make_reaction, save_params
-from rdlearn.transition import TransitionFunction, default_kernel
+from rdlearn.transition import TransitionFunction, build_mollified_heaviside, default_kernel
 
 
 class ConfigError(ValueError):
@@ -508,11 +508,12 @@ def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) 
     else:
         raise ConfigError(f"measurement.kind must be full, subsample or fourier")
 
+    max_iters = cfg.getint("optimizer", "max_iters", default=8000, minimum=0)
     rows, results = identification_sweep(
         f_true, diffusion[0], u0s, grid, scheds, ops, widths,
         box_lo=[box[0]] * n, box_hi=[box[1]] * n, seed=args.seed,
         step=cfg.getfloat("optimizer", "step", default=0.05, minimum=0.0),
-        max_iters=cfg.getint("optimizer", "max_iters", default=8000, minimum=0),
+        max_iters=max_iters,
         sup_points=cfg.getint("optimizer", "sup_points", default=1024, minimum=0),
     )
     out.write_csv(
@@ -528,11 +529,25 @@ def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) 
         os.replace(tmp, out.path(name))
         out.note(name)
     out.finish()
-    for row, res in zip(rows, results):
+    for sched, row, res in zip(scheds, rows, results):
         print(f"level {row.m}: sup error {row.sup_error:.4f}, "
               f"objective {row.objective:.4f}, "
-              f"state containment {res.state_containment:.3f}")
+              f"state containment {res.state_containment:.3f}, "
+              f"{_stop_reason(res, max_iters)} after {res.iterations} iterations")
+        chi = build_mollified_heaviside(sched.eps)
+        if chi(box[1]) > 0.0:
+            print(f"warning: level {row.m}: the cutoff is still positive at the top "
+                  f"of the reaction box ({box[1]:g} < eps + delta = "
+                  f"{chi.eps + chi.delta:g}): it damps the negative part of the "
+                  f"learned term on the whole box")
     return 0
+
+
+def _stop_reason(res, max_iters: int) -> str:
+    """Why `solve_level` stopped: converged, at its cap, or a step that underflowed."""
+    if res.converged:
+        return "converged"
+    return "iteration cap" if res.iterations >= max_iters else "step underflow"
 
 
 def _cmd_convergence(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) -> int:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,21 +57,29 @@ class Cutoffs:
     """chi(u_n) per component of a batch (S, N), and chi'(u_n) on first use.
 
     Hold one for a point set that does not change, and its cutoffs are
-    evaluated once.
+    evaluated once. When every component shares one cutoff, as `wrap(f, chi)`
+    builds it, the whole batch goes through one call.
     """
 
     def __init__(self, chi_list, u: np.ndarray):
         self.chi_list, self.u = chi_list, u
-        self.values = np.column_stack([chi(u[:, n]) for n, chi in enumerate(chi_list)])
+        self.values = self._per_column(lambda chi: chi)
         self._derivatives = None
 
     @property
     def derivatives(self) -> np.ndarray:
         if self._derivatives is None:
-            self._derivatives = np.column_stack(
-                [chi.derivative(self.u[:, n]) for n, chi in enumerate(self.chi_list)]
-            )
+            self._derivatives = self._per_column(lambda chi: chi.derivative)
         return self._derivatives
+
+    def _per_column(self, method) -> np.ndarray:
+        """method(chi_n)(u_n) for every component n, as an (S, N) array."""
+        first = self.chi_list[0]
+        if all(chi is first for chi in self.chi_list):
+            return method(first)(self.u)
+        return np.column_stack(
+            [method(chi)(self.u[:, n]) for n, chi in enumerate(self.chi_list)]
+        )
 
 
 @dataclass(frozen=True)
@@ -123,13 +132,17 @@ class ConsistentReaction(ReactionTerm):
         self.c = np.ones(self.n_species) if c is None else np.asarray(c, dtype=float)
         if self.c.shape != (self.n_species,) or np.any(self.c <= 0):
             raise ValueError("weights c must be positive, one per species")
-        if lipschitz is not None:
-            self._lip = float(lipschitz)
-            self._lip_label = lipschitz_label or "sampled"
-        else:
-            cert = base.lipschitz_bound()
-            self._lip = cert
-            self._lip_label = "certified" if cert is not None else "unavailable"
+        self._given_lip = (None if lipschitz is None
+                           else (float(lipschitz), lipschitz_label or "sampled"))
+
+    @cached_property
+    def _lip(self) -> tuple:
+        """(L, label): the bound given at construction, else the base's own
+        certificate, computed on first read."""
+        if self._given_lip is not None:
+            return self._given_lip
+        cert = self.base.lipschitz_bound()
+        return cert, "certified" if cert is not None else "unavailable"
 
     # -- evaluation ----------------------------------------------------
 
@@ -228,23 +241,24 @@ class ConsistentReaction(ReactionTerm):
         c = self.c if c is None else np.asarray(c, dtype=float)
         f0 = np.abs(self.base.eval(np.zeros(self.n_species)))
         K0 = float(np.sum(c * np.maximum(self.base.eval(np.zeros(self.n_species)), 0.0)))
-        if self._lip is None:
-            return ConsistencyConstants(K0, None, None, None, "unavailable")
-        L = self._lip
+        L, label = self._lip
+        if L is None:
+            return ConsistencyConstants(K0, None, None, None, label)
         K1 = float(L * math.sqrt(self.n_species) * np.sum(c))
         K = float(4.0 * max(L, float(np.max(f0))))
-        return ConsistencyConstants(K0, K1, K, L, self._lip_label)
+        return ConsistencyConstants(K0, K1, K, L, label)
 
     def local_lipschitz(self, M: float) -> float | None:
         """Certified Lipschitz profile of the wrapped term on a ball."""
-        if self._lip is None:
+        L = self._lip[0]
+        if L is None:
             return None
         beta_max = float(np.max(np.abs(self.base.eval(np.zeros(self.n_species)))))
-        return (self._lip * M + beta_max) * self.sup_chi_slope + 2.0 * self._lip
+        return (L * M + beta_max) * self.sup_chi_slope + 2.0 * L
 
     def lipschitz_bound(self, lo=None, hi=None):
         """Local certified bound on a box (via the ball containing it)."""
-        if self._lip is None or lo is None or hi is None:
+        if lo is None or hi is None or self._lip[0] is None:
             return None
         lo, hi = as_box(lo, hi, self.n_species)
         M = float(max(np.linalg.norm(lo), np.linalg.norm(hi)))

@@ -9,12 +9,13 @@ with small grids; the long sweeps live in the acceptance suite.
 import hashlib
 import os
 import stat
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from rdlearn.cli import (ConfigError, ExperimentConfig, _fmt, _parse_levels,
-                         _trajectory_blocks, main, shipped_config)
+                         _stop_reason, _trajectory_blocks, main, shipped_config)
 from rdlearn.consistency import wrap
 from rdlearn.rdsolve import DiffusionSpec, SpaceTimeGrid, solve
 from rdlearn.reaction import make_reaction
@@ -386,6 +387,28 @@ def test_learn_levels_flag_overrides_config(tmp_path):
         head = fh.read().splitlines()[:8]
     assert "# level: 2" in head
     assert "# widths: 1,4,1" in head
+
+
+def test_learn_says_why_each_level_stopped(tmp_path, capsys):
+    cfg = write(tmp_path, LEARN_CFG.replace("max_iters = 30", "max_iters = 4"))
+    assert main(["learn", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    levels = [line for line in lines if line.startswith("level ")]
+    assert len(levels) == 3
+    assert all(line.endswith(", iteration cap after 4 iterations") for line in levels)
+    # eps_1 = 1: the ramp (0.5, 1.5) covers the top of the box [0, 1.2];
+    # from level 2 on (eps + delta = 1.06, 0.87) it ends inside the box
+    warnings = [line for line in lines if line.startswith("warning: ")]
+    assert len(warnings) == 1
+    assert warnings[0].startswith("warning: level 1: the cutoff is still positive "
+                                  "at the top of the reaction box (1.2 < eps + delta = 1.5)")
+
+    def result(converged, iterations):
+        return SimpleNamespace(converged=converged, iterations=iterations)
+
+    assert _stop_reason(result(True, 60), 100) == "converged"
+    assert _stop_reason(result(False, 100), 100) == "iteration cap"
+    assert _stop_reason(result(False, 7), 100) == "step underflow"
 
 
 def test_learn_rejects_stride_count_mismatch(tmp_path, capsys):

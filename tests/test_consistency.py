@@ -14,13 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 from rdlearn.consistency import (
     ConsistencyConstants,
+    Cutoffs,
     WrapperSchedule,
     rate_preservation_study,
     strict_rate_estimate,
     wrap,
 )
 from rdlearn.reaction import AnalyticReaction, MLPReaction, check_conditions, make_reaction
-from rdlearn.transition import build_mollified_heaviside
+from rdlearn.transition import TransitionFunction, build_mollified_heaviside
 
 
 def constant_term(value):
@@ -94,6 +95,53 @@ def test_cutoff_per_component():
     assert 0.0 < vals[1] < 1.0  # inside the (0.2, 0.6) ramp of the wider cutoff
     with pytest.raises(ValueError, match="one cutoff per species"):
         wrap(f, (chis[0],))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("rows", [150, 1500, 4000])
+def test_shared_cutoff_is_one_call_with_per_column_bits(n, rows, monkeypatch):
+    """One cutoff shared by every component is evaluated on the whole batch
+    in one call, with the bits of a per-column evaluation. With 1500 rows a
+    column's ramp holds fewer points than the 1024-point table cut and the
+    batch's ramp more; 150 and 4000 rows keep both on one side of it."""
+    chi = build_mollified_heaviside(0.3)
+    rng = np.random.default_rng(rows + n)
+    u = rng.uniform(0.0, 0.6, (rows, n))  # about half inside the ramp (0.15, 0.45)
+    u[::37, 0] = np.nan
+    u[5::41, n - 1] = np.nan
+    calls = []
+
+    def counted(name):
+        method = getattr(TransitionFunction, name)
+
+        def counting(self, x):
+            calls.append(name)
+            return method(self, x)
+        return counting
+
+    for name in ("evaluate", "derivative"):
+        monkeypatch.setattr(TransitionFunction, name, counted(name))
+    cut = Cutoffs((chi,) * n, u)
+    values, derivatives = cut.values, cut.derivatives
+    assert calls == ["evaluate", "derivative"]
+    ramp = ((u > 0.15) & (u < 0.45)).sum(axis=0)
+    if rows == 1500:
+        assert ramp.max() < 1024 < ramp.sum()
+    expected = np.column_stack([chi(u[:, k]) for k in range(n)])
+    assert values.tobytes() == expected.tobytes()
+    expected = np.column_stack([chi.derivative(u[:, k]) for k in range(n)])
+    assert derivatives.tobytes() == expected.tobytes()
+    assert np.isnan(values[::37, 0]).all()
+
+    # distinct cutoffs: one call per column, each with its own eps
+    chis = [build_mollified_heaviside(0.2 + 0.1 * k) for k in range(n)]
+    expected = np.column_stack([c(u[:, k]) for k, c in enumerate(chis)])
+    calls.clear()
+    cut = Cutoffs(chis, u)
+    assert calls == ["evaluate"] * n
+    assert cut.values.tobytes() == expected.tobytes()
+    assert not np.array_equal(cut.values, Cutoffs((chis[0],) * n, u).values,
+                              equal_nan=True)
 
 
 def test_weight_validation():
@@ -199,6 +247,10 @@ def test_constants_certified_for_parameterized():
     assert cons.lipschitz == pytest.approx(11.681803159964042, rel=1e-10)
     assert cons.K1 == pytest.approx(cons.lipschitz * math.sqrt(3) * 3, rel=1e-12)
     assert cons.growth_K == pytest.approx(4.0 * cons.lipschitz, rel=1e-12)
+    # a bound passed in wins over the base's certificate
+    given = wrap(mlp, build_mollified_heaviside(0.2), lipschitz=2.5)
+    assert given.consistency_constants().lipschitz == 2.5
+    assert given.consistency_constants().label == "sampled"
 
 
 def test_local_lipschitz_profile():

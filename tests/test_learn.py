@@ -24,7 +24,7 @@ from rdlearn.learn import (
     solve_level,
 )
 from rdlearn.rdsolve import DiffusionSpec, SpaceTimeGrid, solve
-from rdlearn.reaction import make_reaction
+from rdlearn.reaction import MLPReaction, make_reaction
 from rdlearn.transition import build_mollified_heaviside
 
 
@@ -354,6 +354,27 @@ def test_gradient_from_a_kept_forward_pass_is_bitwise_fresh():
     z[-1] += 0.25
     assert prob.gradient(z).tobytes() == fresh().gradient(z).tobytes()
     assert prob.objective(z) == fresh().objective(z)
+
+
+def test_objective_computes_no_lipschitz_certificate(monkeypatch):
+    """`reaction(theta)` wraps once per objective evaluation; the wrapped
+    term's certificate (one SVD per weight matrix) waits for its first read."""
+    prob = small_problem(widths=(1, 6, 1))
+    x = prob.initial_iterate(seed=4)
+    theta = prob.unpack(x)[3]
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", _refuse)
+        patch.setattr(MLPReaction, "lipschitz_bound", _refuse)
+        fbar = prob.reaction(theta)
+        prob.objective(x)
+        prob.gradient(x)
+    cons = fbar.consistency_constants()
+    assert cons.label == "certified"
+    assert cons.lipschitz == MLPReaction(prob.widths, theta).lipschitz_bound()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the Lipschitz certificate was computed")
 
 
 def test_parameter_norm_gradient_is_the_unit_radial_field():

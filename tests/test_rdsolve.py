@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from rdlearn import (
     AnalyticReaction,
@@ -20,6 +21,8 @@ from rdlearn import (
     solve,
     wrap,
 )
+from rdlearn.learn import _laplacian
+from rdlearn.rdsolve import _banded_heat_matrix
 
 
 def cosine_profile(grid, base=0.5, amp=0.4):
@@ -369,3 +372,92 @@ def test_state_field_round_trip():
     assert traj.n_species == 1
     assert traj.masses.shape == (21,)
     assert traj.min_value <= traj.values.max()
+
+
+# ------------------------------------------------- factored implicit solves
+
+
+def reference_march(f, D, u0, grid, source=None, boundary="neumann"):
+    """The IMEX march with one `solve_banded` call per species, axis and
+    step, and a per-species mass sum: values and species masses."""
+    n = u0.shape[0]
+    dt, h = grid.dt, grid.h
+    dirichlet = boundary == "dirichlet"
+    mats = [[_banded_heat_matrix(grid.nodes[ax], dt * dn / h[ax] ** 2, dirichlet)
+             for ax in range(grid.ndim)] for dn in D.as_array()]
+
+    def hold(v):
+        for ax in range(1, v.ndim):
+            for end in (0, -1):
+                idx = [slice(None)] * v.ndim
+                idx[ax] = end
+                v[tuple(idx)] = u0[tuple(idx)]
+
+    w = grid.quadrature_weights()
+    traj = np.empty((n, grid.steps + 1) + grid.shape)
+    mass = np.empty((n, grid.steps + 1))
+    traj[:, 0] = u0
+    mass[:, 0] = [float(np.sum(w * u0[i])) for i in range(n)]
+    u = u0.copy()
+    times = grid.times()
+    for k in range(grid.steps):
+        rhs = u.copy()
+        if f is not None:
+            rhs += dt * f.eval(u.reshape(n, -1).T).T.reshape(u.shape)
+        if source is not None:
+            rhs = rhs + dt * np.broadcast_to(source(times[k]), u.shape)
+        if dirichlet:
+            hold(rhs)
+        new = np.empty_like(u)
+        for i in range(n):
+            if grid.ndim == 1:
+                new[i] = solve_banded((1, 1), mats[i][0], rhs[i])
+            else:
+                half = solve_banded((1, 1), mats[i][0], rhs[i])
+                new[i] = solve_banded((1, 1), mats[i][1], half.T).T
+        u = new
+        if dirichlet:
+            hold(u)
+        traj[:, k + 1] = u
+        mass[:, k + 1] = [float(np.sum(w * u[i])) for i in range(n)]
+    return traj, mass
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("term", ["diffusion", "wrapped", "source"])
+@pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_factored_solve_equals_the_banded_reference_bitwise(ndim, boundary, term, n):
+    """Factoring each matrix once per solve changes no bit of the march."""
+    if ndim == 1:
+        grid = SpaceTimeGrid(1.3, 37, 0.4, 50)
+        x = grid.axis(0)
+    else:
+        grid = SpaceTimeGrid((1.0, 1.7), (13, 19), 0.3, 30)
+        a, b = np.meshgrid(grid.axis(0), grid.axis(1), indexing="ij")
+        x = a + 0.5 * b
+    u0 = np.array([0.5 + 0.3 * np.cos((i + 1) * np.pi * x / 1.3) for i in range(n)])
+    D = DiffusionSpec(tuple(0.03 + 0.05 * i for i in range(n)))
+    f, source = None, None
+    if term == "wrapped":
+        f = wrap(MLPReaction.from_seed((n, 8, n), seed=4 + n, scale=0.5),
+                 build_mollified_heaviside(0.4))
+    elif term == "source":
+        def source(t):
+            return 0.2 * np.sin(3.0 * t) * np.cos(np.pi * x)
+
+    got = solve(f, D, u0, grid, source=source, boundary=boundary)
+    values, mass = reference_march(f, D, u0, grid, source=source, boundary=boundary)
+    assert got.values.tobytes() == values.tobytes()
+    assert got.species_mass.tobytes() == mass.tobytes()
+
+
+@pytest.mark.parametrize("m", [3, 8, 41])
+def test_heat_matrix_uses_the_learning_laplacian(m):
+    """The implicit matrix is I - r h^2 L with the mirror-ghost Laplacian L
+    of the learning problem: its zero residual on true states needs both."""
+    h, r = 0.13, 0.37
+    ab = _banded_heat_matrix(m, r, False)
+    dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+    lap = _laplacian(np.eye(m), h).T  # row j of the batch is L e_j
+    np.testing.assert_allclose(dense, np.eye(m) - r * h ** 2 * lap, rtol=0.0, atol=1e-14)
