@@ -30,7 +30,6 @@ from rdlearn.quasipos import (
     BoundaryLayer,
     BoundaryMeasure,
     approximation_experiment,
-    boundary_measure,
     modify,
     nonlinear_volume_report,
     sample_members,
@@ -88,7 +87,6 @@ __all__ = [
     "TransitionFunction",
     "WrapperSchedule",
     "approximation_experiment",
-    "boundary_measure",
     "build_mollified_heaviside",
     "check_conditions",
     "default_kernel",

@@ -1,4 +1,4 @@
-"""Deterministic low-discrepancy sampling and box quadrature helpers."""
+"""Deterministic low-discrepancy sampling, quadrature and box helpers."""
 
 from __future__ import annotations
 
@@ -25,6 +25,22 @@ def as_box(lo, hi, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(lo < hi):
         raise ValueError("box requires lo < hi in every coordinate")
     return lo, hi
+
+
+def as_weights(c, n: int) -> np.ndarray:
+    """Mass-control weights c_n as floats, all ones for None: one positive per species."""
+    c = np.ones(n) if c is None else np.asarray(c, dtype=float)
+    if c.shape != (n,) or np.any(c <= 0):
+        raise ValueError("weights c must be positive, one per species")
+    return c
+
+
+def trapezoid_weights(m: int, h: float) -> np.ndarray:
+    """Trapezoid weights of m nodes at spacing h: h inside, h/2 at both ends."""
+    w = np.full(m, h)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
 
 
 def _first_primes(count: int) -> list[int]:
@@ -97,11 +113,8 @@ def box_quadrature(lo, hi, nodes_per_dim: int = 129, seed: int = 0,
         axes, wts = [], []
         for d in range(dim):
             x = np.linspace(lo[d], hi[d], nodes_per_dim)
-            w = np.full(nodes_per_dim, x[1] - x[0])
-            w[0] *= 0.5
-            w[-1] *= 0.5
             axes.append(x)
-            wts.append(w)
+            wts.append(trapezoid_weights(nodes_per_dim, x[1] - x[0]))
         grids = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=-1)
         weight = wts[0]

@@ -43,8 +43,8 @@ from functools import cached_property
 
 import numpy as np
 
-from rdlearn._sampling import as_box, sup_sample
-from rdlearn.reaction import MLPReaction, ReactionTerm, _atleast_batch
+from rdlearn._sampling import as_box, as_weights, sup_sample
+from rdlearn.reaction import MLPReaction, ReactionTerm, _atleast_batch, mass_growth_constants
 from rdlearn.transition import TransitionFunction, build_mollified_heaviside
 
 
@@ -129,9 +129,7 @@ class ConsistentReaction(ReactionTerm):
                     f"need one cutoff per species ({self.n_species}), "
                     f"got {len(self.chi_list)}"
                 )
-        self.c = np.ones(self.n_species) if c is None else np.asarray(c, dtype=float)
-        if self.c.shape != (self.n_species,) or np.any(self.c <= 0):
-            raise ValueError("weights c must be positive, one per species")
+        self.c = as_weights(c, self.n_species)
         self._given_lip = (None if lipschitz is None
                            else (float(lipschitz), lipschitz_label or "sampled"))
 
@@ -239,13 +237,8 @@ class ConsistentReaction(ReactionTerm):
 
     def consistency_constants(self, c=None) -> ConsistencyConstants:
         c = self.c if c is None else np.asarray(c, dtype=float)
-        f0 = np.abs(self.base.eval(np.zeros(self.n_species)))
-        K0 = float(np.sum(c * np.maximum(self.base.eval(np.zeros(self.n_species)), 0.0)))
         L, label = self._lip
-        if L is None:
-            return ConsistencyConstants(K0, None, None, None, label)
-        K1 = float(L * math.sqrt(self.n_species) * np.sum(c))
-        K = float(4.0 * max(L, float(np.max(f0))))
+        K0, K1, K = mass_growth_constants(self.base.eval(np.zeros(self.n_species)), L, c)
         return ConsistencyConstants(K0, K1, K, L, label)
 
     def local_lipschitz(self, M: float) -> float | None:

@@ -2,12 +2,13 @@
 
 The problem is all-at-once: diffusion coefficients, the full space-time
 state, the initial condition, and the network parameters are decision
-variables simultaneously, with the PDE entering as a penalized residual
-(same forward-difference / mirror-ghost stencils as the simulator, so a
-simulated trajectory inserted as the state has residual zero up to
-rounding). Regularization weights follow per-level schedules whose
-products vanish along the level list; measurement data lives behind
-linear operators with explicit adjoints.
+variables simultaneously, with the PDE entering as a penalized residual.
+The residual is the simulator's IMEX step, and it imports the simulator's
+mirror-ghost Laplacian (`rdsolve.mirror_laplacian` and its transpose)
+rather than keeping a copy, so a simulated trajectory inserted as the
+state has residual zero up to rounding. Regularization weights
+follow per-level schedules whose products vanish along the level list;
+measurement data lives behind linear operators with explicit adjoints.
 
 Gradients are assembled by hand from the reverse-mode passes of the
 wrapped network (value and Jacobian cotangents) plus the adjoints of the
@@ -25,10 +26,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from rdlearn._sampling import as_box, box_quadrature, halton_box
+from rdlearn._sampling import as_box, as_weights, box_quadrature, halton_box, trapezoid_weights
 from rdlearn.consistency import ConsistentReaction, wrap
-from rdlearn.rdsolve import SpaceTimeGrid, StateField
+from rdlearn.rdsolve import (DiffusionSpec, SpaceTimeGrid, StateField, mirror_laplacian,
+                              mirror_laplacian_transpose, solve)
 from rdlearn.reaction import MLPReaction
+from rdlearn.transition import build_mollified_heaviside
 
 
 class OptimizationDiverged(RuntimeError):
@@ -245,27 +248,7 @@ def make_schedule(alpha: float, beta: float, gamma: float, levels=(1, 2, 3),
 
 
 # ---------------------------------------------------------------------------
-# discrete operators shared with the residual
-
-
-def _laplacian(u: np.ndarray, h: float) -> np.ndarray:
-    """Mirror-ghost second difference along the last axis."""
-    out = np.empty_like(u)
-    out[..., 1:-1] = u[..., :-2] - 2.0 * u[..., 1:-1] + u[..., 2:]
-    out[..., 0] = 2.0 * (u[..., 1] - u[..., 0])
-    out[..., -1] = 2.0 * (u[..., -2] - u[..., -1])
-    return out / h ** 2
-
-
-def _laplacian_adjoint(w: np.ndarray, h: float) -> np.ndarray:
-    """Transpose of _laplacian (the mirror rows make it nonsymmetric)."""
-    out = np.zeros_like(w)
-    out[..., 1:-1] = w[..., :-2] - 2.0 * w[..., 1:-1] + w[..., 2:]
-    out[..., 1] += w[..., 0]
-    out[..., -2] += w[..., -1]
-    out[..., 0] = -2.0 * w[..., 0] + w[..., 1]
-    out[..., -1] = w[..., -2] - 2.0 * w[..., -1]
-    return out / h ** 2
+# the problem
 
 
 def _powered(s: float, half_exponent: float):
@@ -273,10 +256,6 @@ def _powered(s: float, half_exponent: float):
     if s <= 0.0:
         return 0.0, 0.0
     return s ** half_exponent, half_exponent * s ** (half_exponent - 1.0)
-
-
-# ---------------------------------------------------------------------------
-# the problem
 
 
 class AllAtOnceProblem:
@@ -317,9 +296,7 @@ class AllAtOnceProblem:
         self.data = data
         self.n_traj = data.shape[0]
 
-        self.c = np.ones(self.n_species) if c is None else np.asarray(c, dtype=float)
-        if self.c.shape != (self.n_species,) or np.any(self.c <= 0):
-            raise ValueError("weights c must be positive, one per species")
+        self.c = as_weights(c, self.n_species)
 
         lo = np.zeros(self.n_species) if box_lo is None else box_lo
         hi = np.full(self.n_species, 1.2) if box_hi is None else box_hi
@@ -338,8 +315,7 @@ class AllAtOnceProblem:
         self._l2_cut = fixed.cutoffs(self._l2_pts)
         self._sup_cut = fixed.cutoffs(self._sup_pts)
         self._w = grid.quadrature_weights()
-        self._tw = np.full(grid.steps + 1, grid.dt)
-        self._tw[0] = self._tw[-1] = grid.dt / 2.0
+        self._tw = trapezoid_weights(grid.steps + 1, grid.dt)
         self._last = None  # (x, terms, tape) of the last point evaluated
         K, M = grid.steps, grid.nodes[0]
         L, N = self.n_traj, self.n_species
@@ -453,7 +429,7 @@ class AllAtOnceProblem:
             pts = ul[:, :-1].reshape(N, K * M).T
             tl = fbar.forward(pts)
             fvals = tl.value.T.reshape(N, K, M)
-            lap_next = _laplacian(ul[:, 1:], h)
+            lap_next = mirror_laplacian(ul[:, 1:], h)
             res = (ul[:, 1:] - ul[:, :-1]) / dt - D[l][:, None, None] * lap_next - fvals
             s_res = float(dt * np.einsum("nkm,m->", res * res, w))
             r_val, r_slope = _powered(s_res, sched.q / 2.0)
@@ -513,7 +489,7 @@ class AllAtOnceProblem:
 
         for l, (pts, tl, res, r_slope, lap_next, d0, dmis, y_slope) in enumerate(blocks):
             G = sched.lam * r_slope * 2.0 * dt * res * w
-            gu[l][:, 1:] += G / dt - D[l][:, None, None] * _laplacian_adjoint(G, h)
+            gu[l][:, 1:] += G / dt - D[l][:, None, None] * mirror_laplacian_transpose(G, h)
             gu[l][:, :-1] -= G / dt
             tg, ug = fbar.value_vjp(pts, -G.reshape(N, K * M).T, tl)
             gth += tg
@@ -539,7 +515,8 @@ class LevelResult:
 
     state_containment is the fraction of recovered state values inside the
     reaction box; the learned term is only identified where states visit,
-    so values well below 1 flag an extrapolating fit.
+    so values well below 1 flag an extrapolating fit. terms_history holds
+    the terms of every accepted iterate under `keep_terms`, else None.
     """
 
     x: np.ndarray = field(repr=False)
@@ -551,6 +528,7 @@ class LevelResult:
     terms: dict
     converged: bool
     state_containment: float
+    terms_history: list | None = field(default=None, repr=False)
 
     @property
     def iterations(self) -> int:
@@ -623,13 +601,11 @@ def solve_level(prob: AllAtOnceProblem, x0=None, *, step: float = 0.02,
     D, u, u0, theta = prob.unpack(x)
     inside = ((u >= prob.box_lo[None, :, None, None])
               & (u <= prob.box_hi[None, :, None, None]))
-    result = LevelResult(x=x, D=D, u=u, u0=u0, theta=theta,
-                         history=np.asarray(history),
-                         terms=prob.objective_terms(x), converged=converged,
-                         state_containment=float(inside.mean()))
-    if keep_terms:
-        result.terms_history = terms_history
-    return result
+    return LevelResult(x=x, D=D, u=u, u0=u0, theta=theta,
+                       history=np.asarray(history),
+                       terms=prob.objective_terms(x), converged=converged,
+                       state_containment=float(inside.mean()),
+                       terms_history=terms_history)
 
 
 # ---------------------------------------------------------------------------
@@ -656,8 +632,7 @@ def identification_sweep(f_true, d_true: float, u0_profiles, grid: SpaceTimeGrid
                          schedules, operators, widths, *, box_lo=None,
                          box_hi=None, seed: int = 0, step: float = 0.05,
                          max_iters: int = 8000, sup_points: int = 1024,
-                         error_nodes: int = 481, chi_builder=None,
-                         lipschitz=None):
+                         error_nodes: int = 481, lipschitz=None):
     """Recover a known scalar reaction at increasing measurement quality.
 
     For each level: simulate the truth from every initial profile, measure
@@ -668,11 +643,6 @@ def identification_sweep(f_true, d_true: float, u0_profiles, grid: SpaceTimeGrid
     family to cover it; a single profile identifies the reaction only on
     the states it visits. Returns (rows, results).
     """
-    from rdlearn.rdsolve import DiffusionSpec, solve
-    from rdlearn.transition import build_mollified_heaviside
-
-    if chi_builder is None:
-        chi_builder = build_mollified_heaviside
     if len(schedules) != len(operators):
         raise ValueError("one operator per schedule level")
     n = widths[0]
@@ -695,7 +665,7 @@ def identification_sweep(f_true, d_true: float, u0_profiles, grid: SpaceTimeGrid
             generate_measurements(t, op, sched.delta, seed=seed + sched.m + 977 * l)
             for l, t in enumerate(truths)
         ])
-        prob = AllAtOnceProblem(grid, widths, chi_builder(sched.eps), sched, op, y,
+        prob = AllAtOnceProblem(grid, widths, build_mollified_heaviside(sched.eps), sched, op, y,
                                 box_lo=lo, box_hi=hi, sup_points=sup_points)
         res = solve_level(prob, step=step, max_iters=max_iters, seed=seed)
         learned = prob.reaction(res.theta)

@@ -188,12 +188,6 @@ class BoundaryMeasure:
         return vol * p, half
 
 
-def boundary_measure(hi, samples: int = 200_000, seed: int = 0) -> BoundaryMeasure:
-    """Measure of the metric boundary layer of the box [0, hi]."""
-    return BoundaryMeasure(tuple(np.atleast_1d(np.asarray(hi, dtype=float))),
-                           samples=samples, seed=seed)
-
-
 @dataclass(frozen=True)
 class ModifiedFunction:
     """A scalar field with its negative part ramped off near the faces."""

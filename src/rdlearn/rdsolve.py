@@ -9,10 +9,12 @@ part removes the diffusion time-step limit; the explicit part keeps the
 reaction's possible kinks out of the linear solves but requires the guard
 dt * L <= 1/2 on the reaction's Lipschitz constant.
 
-With trapezoid quadrature weights w the mirror-ghost Laplacian satisfies
-w^T L = 0 exactly, so pure diffusion conserves the discrete total mass of
-every species to rounding. Negative values are never clipped: they are a
-diagnostic for wrapper failures, not a defect to hide.
+The mirror-ghost Laplacian L is defined once (`mirror_bands`); the
+implicit matrices and the learning residual (`rdlearn.learn`) both use
+it, so a simulated trajectory has residual zero. With trapezoid weights
+w, w^T L = 0 exactly, so pure diffusion conserves the discrete total
+mass of every species to rounding. Negative values are never clipped:
+they are a diagnostic for wrapper failures, not a defect to hide.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
+
+from rdlearn._sampling import as_weights, trapezoid_weights
 
 
 class StabilityError(ValueError):
@@ -115,15 +119,8 @@ class SpaceTimeGrid:
 
     def quadrature_weights(self) -> np.ndarray:
         """Trapezoid weights over the spatial grid, shape = nodes."""
-        axes = []
-        for e, m in zip(self.extents, self.nodes):
-            w = np.full(m, e / (m - 1))
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            axes.append(w)
-        if self.ndim == 1:
-            return axes[0]
-        return np.multiply.outer(axes[0], axes[1])
+        axes = [trapezoid_weights(m, h) for m, h in zip(self.nodes, self.h)]
+        return np.multiply.outer(*axes) if self.ndim == 2 else axes[0]
 
 
 @dataclass(frozen=True)
@@ -186,27 +183,56 @@ class StateField:
         return self.values[:, -1]
 
 
-def _banded_heat_matrix(m: int, r: float, dirichlet: bool) -> np.ndarray:
-    """Banded form of I - r * Laplacian (mirror ghosts or held boundary)."""
-    ab = np.zeros((3, m))
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[0, 1:] = -r       # superdiagonal, entry j is A[j-1, j]
-    ab[2, :-1] = -r      # subdiagonal, entry j is A[j+1, j]
+def mirror_bands(m: int) -> np.ndarray:
+    """Bands (sub, diag, sup) of the mirror-ghost Laplacian L on m nodes at
+    unit spacing: (L u)[j] = sub[j] u[j-1] + diag[j] u[j] + sup[j] u[j+1].
+
+    The stencil (1, -2, 1), with the ghosts u[-1] = u[1] and u[m] = u[m-2]
+    folded onto the inner neighbour of each end: sup[0] = sub[m-1] = 2.
+    """
+    bands = np.array([[1.0], [-2.0], [1.0]]).repeat(m, axis=1)
+    bands[0, 0] = bands[2, -1] = 0.0
+    bands[2, 0] = bands[0, -1] = 2.0
+    return bands
+
+
+def mirror_laplacian(u: np.ndarray, h: float) -> np.ndarray:
+    """L u / h^2 along the last axis of u."""
+    sub, diag, sup = mirror_bands(u.shape[-1])
+    out = diag * u
+    out[..., 1:] += sub[1:] * u[..., :-1]
+    out[..., :-1] += sup[:-1] * u[..., 1:]
+    return out / h ** 2
+
+
+def mirror_laplacian_transpose(w: np.ndarray, h: float) -> np.ndarray:
+    """L^T w / h^2 along the last axis of w: row j holds sup[j-1], diag[j]
+    and sub[j+1]. The stencil's unit off-diagonals are summed first and the
+    mirror entries' excess over them last, as the ghosts fold back."""
+    sub, diag, sup = mirror_bands(w.shape[-1])
+    out = diag * w
+    out[..., 1:] += w[..., :-1]
+    out[..., :-1] += w[..., 1:]
+    out[..., 1] += (sup[0] - 1.0) * w[..., 0]
+    out[..., -2] += (sub[-1] - 1.0) * w[..., -1]
+    return out / h ** 2
+
+
+def heat_bands(m: int, r: float, dirichlet: bool) -> np.ndarray:
+    """Bands of I - r L in the layout of `mirror_bands`; with `dirichlet`
+    the first and last rows are identity rows, which hold the boundary."""
+    bands = -r * mirror_bands(m)
+    bands[1] += 1.0
     if dirichlet:
-        ab[1, 0] = ab[1, -1] = 1.0
-        ab[0, 1] = 0.0
-        ab[2, -2] = 0.0
-    else:
-        ab[0, 1] = -2.0 * r
-        ab[2, -2] = -2.0 * r
-    return ab
+        bands[:, [0, -1]] = [[0.0], [1.0], [0.0]]
+    return bands
 
 
 def _factor_heat_matrix(m: int, r: float, dirichlet: bool) -> tuple:
-    """LU factors of `_banded_heat_matrix(m, r, dirichlet)`, the arguments
-    `dgttrs` takes before the right-hand side."""
-    ab = _banded_heat_matrix(m, r, dirichlet)
-    *factors, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+    """LU factors of `heat_bands(m, r, dirichlet)`, the arguments `dgttrs`
+    takes before the right-hand side."""
+    sub, diag, sup = heat_bands(m, r, dirichlet)
+    *factors, info = dgttrf(sub[1:], diag, sup[:-1])
     if info != 0:
         raise np.linalg.LinAlgError(
             f"implicit diffusion matrix is singular (dgttrf info = {info})"
@@ -232,16 +258,17 @@ def _infer_species(f, u0, grid) -> tuple[int, np.ndarray]:
     return n, u0
 
 
-def _reaction_lipschitz(f, u0: np.ndarray) -> float:
-    bound = f.lipschitz_bound()
-    if bound is not None:
-        return float(bound)
-    lo = np.minimum(u0.reshape(u0.shape[0], -1).min(axis=1), 0.0) - 1.0
-    hi = u0.reshape(u0.shape[0], -1).max(axis=1) + 1.0
+def _box_lipschitz(f, u: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """(L, lo, hi): a Lipschitz bound of f on the box of the state u's
+    per-species range, widened by 1 and reaching down to -1 at least; lo
+    and hi are columns, one row per species."""
+    flat = u.reshape(u.shape[0], -1)
+    lo = np.minimum(flat.min(axis=1), 0.0) - 1.0
+    hi = flat.max(axis=1) + 1.0
     bound = f.lipschitz_bound(lo, hi)
-    if bound is not None:
-        return float(bound)
-    return float(f.sampled_lipschitz(lo, hi, samples=2000))
+    if bound is None:
+        bound = f.sampled_lipschitz(lo, hi, samples=2000)
+    return float(bound), lo[:, None], hi[:, None]
 
 
 def solve(f, D: DiffusionSpec, u0, grid: SpaceTimeGrid, c=None,
@@ -257,7 +284,8 @@ def solve(f, D: DiffusionSpec, u0, grid: SpaceTimeGrid, c=None,
 
     Raises StabilityError when dt times the reaction's Lipschitz bound
     exceeds 1/2 (pass `lipschitz` to override the bound used) and
-    BlowUpError at the first non-finite state.
+    BlowUpError at the first non-finite state. A bound certified on a box
+    around u0 is certified again around any state that leaves the box.
     """
     if boundary not in ("neumann", "dirichlet"):
         raise ValueError(f"boundary must be 'neumann' or 'dirichlet', got {boundary!r}")
@@ -266,12 +294,15 @@ def solve(f, D: DiffusionSpec, u0, grid: SpaceTimeGrid, c=None,
         raise ValueError("u0 must be componentwise nonnegative")
     if D.n_species != n:
         raise ValueError(f"diffusion spec carries {D.n_species} species, state has {n}")
-    c = np.ones(n) if c is None else np.asarray(c, dtype=float)
-    if c.shape != (n,) or np.any(c <= 0):
-        raise ValueError("weights c must be positive, one per species")
+    c = as_weights(c, n)
+    # each state lies in [lo, hi]: the box the reaction bound holds on, or the finite floats
+    hi = np.full((n, 1), np.finfo(float).max)
+    lo = -hi
     if f is not None:
-        L = _reaction_lipschitz(f, u0) if lipschitz is None else float(lipschitz)
-        grid.check_reaction_guard(L)
+        L = f.lipschitz_bound() if lipschitz is None else lipschitz
+        if L is None:
+            L, lo, hi = _box_lipschitz(f, u0)
+        grid.check_reaction_guard(float(L))
 
     dt = grid.dt
     dirichlet = boundary == "dirichlet"
@@ -315,12 +346,19 @@ def solve(f, D: DiffusionSpec, u0, grid: SpaceTimeGrid, c=None,
                     new[i] = dgttrs(*factors[i][1], half.T)[0].T
             if dirichlet:
                 _hold_boundary(new, u0, grid.ndim)
-            if not np.all(np.isfinite(new)):
-                raise BlowUpError(
-                    f"non-finite state at step {k + 1} (t = {times[k + 1]:.6g})",
-                    step=k + 1,
-                )
-            species_mass[:, k + 1] = (new.reshape(n, -1) * w).sum(axis=1)
+            state = new.reshape(n, -1)
+            # NaN fails both comparisons and inf lies outside every box
+            if not ((state >= lo) & (state <= hi)).all():
+                at = f"step {k + 1} (t = {times[k + 1]:.6g})"
+                if not np.isfinite(state).all():
+                    raise BlowUpError(f"non-finite state at {at}", step=k + 1)
+                L, lo, hi = _box_lipschitz(f, new)
+                try:
+                    grid.check_reaction_guard(L)
+                except StabilityError as exc:
+                    raise StabilityError(f"the state left the box its reaction bound was "
+                                         f"certified on at {at}: {exc}", exc.suggested_dt) from None
+            species_mass[:, k + 1] = (state * w).sum(axis=1)
             u = new
     return StateField(traj, grid, c, species_mass)
 
@@ -362,10 +400,7 @@ class MassAudit:
 def mass_audit(traj: StateField, c=None, K0: float = 0.0, K1: float = 0.0,
                tol: float | None = None) -> MassAudit:
     """Check d/dt sum_n c_n int u_n <= K0 |Omega| + K1 sum_n int u_n per step."""
-    n = traj.n_species
-    c = traj.weights if c is None else np.asarray(c, dtype=float)
-    if c.shape != (n,) or np.any(c <= 0):
-        raise ValueError("weights c must be positive, one per species")
+    c = as_weights(traj.weights if c is None else c, traj.n_species)
     volume = float(np.prod(traj.grid.extents))
     weighted = c @ traj.species_mass
     total = traj.species_mass.sum(axis=0)

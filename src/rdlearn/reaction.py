@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from rdlearn._sampling import as_box, halton_box
+from rdlearn._sampling import as_box, as_weights, halton_box
 
 
 def _atleast_batch(u, n_species):
@@ -202,14 +202,11 @@ class MLPReaction(ReactionTerm):
         Flat parameter vector, weights then bias per layer.
     level : int, optional
         Level index m when the instance belongs to a level-indexed family.
-    psi_bound : float, optional
-        Parameter-norm bound psi(m). When `bound_active` is set,
-        construction enforces ||theta|| <= psi_bound.
     """
 
     variant = "parameterized"
 
-    def __init__(self, widths, theta, level=None, psi_bound=None, bound_active=False):
+    def __init__(self, widths, theta, level=None):
         widths = tuple(int(w) for w in widths)
         if len(widths) < 2:
             raise ValueError("need at least an input and an output width")
@@ -230,16 +227,6 @@ class MLPReaction(ReactionTerm):
         theta.flags.writeable = False
         self.theta = theta
         self.level = level
-        self.psi_bound = psi_bound
-        self.bound_active = bound_active
-        if bound_active:
-            if psi_bound is None:
-                raise ValueError("bound_active requires psi_bound")
-            norm = float(np.linalg.norm(theta))
-            if norm > psi_bound:
-                raise ValueError(
-                    f"||theta|| = {norm:.6g} exceeds declared bound psi = {psi_bound:.6g}"
-                )
         self._layers = self._unpack(theta)
 
     @staticmethod
@@ -270,8 +257,7 @@ class MLPReaction(ReactionTerm):
 
     def with_theta(self, theta) -> "MLPReaction":
         """Same architecture and metadata, new parameters."""
-        return MLPReaction(self.widths, theta, level=self.level,
-                           psi_bound=self.psi_bound, bound_active=False)
+        return MLPReaction(self.widths, theta, level=self.level)
 
     def forward(self, U):
         """The forward pass over a batch (S, N), kept as a tape.
@@ -516,6 +502,17 @@ class ConditionReport:
         return "\n".join(lines)
 
 
+def mass_growth_constants(f0: np.ndarray, L: float | None, c: np.ndarray) -> tuple:
+    """Mass control K0 = sum_n c_n P_+(f_n(0)), K1 = L sqrt(N) sum_n c_n and
+    growth K = 4 max(L, max_n |f_n(0)|), for f(0) = f0; K1, K need L."""
+    K0 = float(np.sum(c * np.maximum(f0, 0.0)))
+    if L is None:
+        return K0, None, None
+    K1 = float(L * np.sqrt(f0.size) * np.sum(c))
+    K = float(4.0 * max(L, np.max(np.abs(f0))))
+    return K0, K1, K
+
+
 def check_conditions(f: ReactionTerm, lo, hi, samples: int = 10_000,
                      c=None, seed: int = 0) -> ConditionReport:
     """Sample-based check of (L), (Q), (M), (G) on an axis-aligned box.
@@ -529,20 +526,15 @@ def check_conditions(f: ReactionTerm, lo, hi, samples: int = 10_000,
         raise ValueError("samples must be >= 1")
     N = f.n_species
     lo, hi = as_box(lo, hi, N)
-    c = np.ones(N) if c is None else np.asarray(c, dtype=float)
-    if c.shape != (N,) or np.any(c <= 0):
-        raise ValueError("weights c must be positive, one per species")
+    c = as_weights(c, N)
 
     corners_norm = max(np.linalg.norm(lo), np.linalg.norm(hi))
     L_est = f.sampled_lipschitz(lo, hi, samples=samples, seed=seed)
     L_cert = f.lipschitz_bound(lo, hi)
 
-    f0 = f.eval(np.zeros(N))
     L_const = L_cert if L_cert is not None else L_est
     label = "certified" if L_cert is not None else "sampled"
-    K0 = float(np.sum(c * np.maximum(f0, 0.0)))
-    K1 = float(L_const * np.sqrt(N) * np.sum(c))
-    K = float(4.0 * max(L_const, np.max(np.abs(f0))))
+    K0, K1, K = mass_growth_constants(f.eval(np.zeros(N)), L_const, c)
 
     # (Q) on reachable boundary faces of the nonnegative orthant
     orth_lo, orth_hi = np.maximum(lo, 0.0), hi

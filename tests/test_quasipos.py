@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from rdlearn.quasipos import (
     BoundaryLayer,
+    BoundaryMeasure,
     approximation_experiment,
-    boundary_measure,
     modify,
     nonlinear_volume_report,
     sample_members,
@@ -105,11 +105,11 @@ def test_layer_validation():
 
 
 def test_unit_cube_measure_closed_form():
-    phi2 = boundary_measure([1.0, 1.0])
+    phi2 = BoundaryMeasure([1.0, 1.0])
     assert phi2(0.5) == 0.75
     assert phi2(0.0) == 0.0
     assert phi2(2.0) == 1.0  # saturates once the layer swallows the cube
-    phi3 = boundary_measure([1.0, 1.0, 1.0])
+    phi3 = BoundaryMeasure([1.0, 1.0, 1.0])
     assert phi3(0.1) == pytest.approx(0.271, rel=1e-12)
     widths = np.linspace(0.0, 1.2, 50)
     vals = [phi3(w) for w in widths]
@@ -119,7 +119,7 @@ def test_unit_cube_measure_closed_form():
 
 
 def test_measure_monte_carlo_matches_closed_form():
-    phi = boundary_measure([1.0, 1.0, 1.0], samples=200_000)
+    phi = BoundaryMeasure([1.0, 1.0, 1.0], samples=200_000)
     for x in (0.1, 0.25, 0.5):
         exact = 1.0 - (1.0 - x) ** 3
         est, half = phi.estimate(x)
@@ -129,7 +129,7 @@ def test_measure_monte_carlo_matches_closed_form():
 
 def test_measure_general_box_against_offset_oracle():
     hi = (2.0, 1.5)
-    phi = boundary_measure(hi, samples=200_000)
+    phi = BoundaryMeasure(hi, samples=200_000)
     assert not phi.is_unit_cube
     for x in (0.2, 0.3, 0.7):
         exact = np.prod(hi) - np.prod([max(h - x, 0.0) for h in hi])
@@ -242,7 +242,7 @@ def test_approximation_experiment_lp_bound():
         [0.3 / m for m in levels], [0.15 / m for m in levels], layer,
         norm="lp", p=2.0,
     )
-    phi = boundary_measure([1.0, 1.0])
+    phi = BoundaryMeasure([1.0, 1.0])
     for i, m in enumerate(study.levels):
         ceiling = study.raw_error[i] + (1.0 / m) * phi(study.eps[i] + study.delta[i]) ** 0.5
         assert study.modified_error[i] <= ceiling + 1e-9

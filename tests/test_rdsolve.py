@@ -21,8 +21,8 @@ from rdlearn import (
     solve,
     wrap,
 )
-from rdlearn.learn import _laplacian
-from rdlearn.rdsolve import _banded_heat_matrix
+from rdlearn._sampling import trapezoid_weights
+from rdlearn.rdsolve import heat_bands, mirror_bands, mirror_laplacian, mirror_laplacian_transpose
 
 
 def cosine_profile(grid, base=0.5, amp=0.4):
@@ -258,6 +258,43 @@ def test_guard_uses_explicit_override():
     solve(fisher, DiffusionSpec.uniform(0.05, 1), cosine_profile(g), g, lipschitz=3.0)
 
 
+def test_state_leaving_its_box_is_certified_again():
+    """f = tanh(u) + 1 grows the state out of the box u0 +- 1 that the
+    wrapped network's bound is certified on. The solver certifies the bound
+    again on each grown box; when dt is too large for a grown box it raises
+    StabilityError at the step that left."""
+    f = wrap(MLPReaction((1, 1, 1), [1.0, 0.0, 1.0, 1.0]), build_mollified_heaviside(0.2))
+    boxes = []
+    certify = f.lipschitz_bound
+
+    def spy(lo=None, hi=None):
+        if lo is not None:
+            boxes.append(float(hi[0]))
+        return certify(lo, hi)
+
+    f.lipschitz_bound = spy
+    D = DiffusionSpec.uniform(0.1, 1)
+    u0 = np.full((1, 11), 0.5)
+    steps = int(np.ceil(2.0 * certify([-1.0], [1.5]) / 0.5))  # fits the first box only
+    g = SpaceTimeGrid(1.0, 11, 2.0, steps)
+    top = solve(f, D, u0, g, lipschitz=0.0).values[0].max(axis=1)
+    left = int(np.argmax(top > 1.5))
+    assert left > 0
+    with pytest.raises(StabilityError, match=f"certified on at step {left} ") as info:
+        solve(f, D, u0, g)
+    assert info.value.suggested_dt < g.dt
+    assert boxes == [1.5, top[left] + 1.0]
+
+    boxes.clear()
+    fine = SpaceTimeGrid(1.0, 11, 2.0, 8 * steps)
+    traj = solve(f, D, u0, fine)
+    top = traj.values[0].max(axis=1)
+    assert len(boxes) >= 3 and boxes[0] == 1.5
+    assert all(b > a for a, b in zip(boxes, boxes[1:]))
+    assert top.max() <= boxes[-1]
+    assert boxes[1] == top[np.argmax(top > 1.5)] + 1.0
+
+
 def test_blow_up_reports_first_bad_step():
     boom = AnalyticReaction("boom", 1, lambda u: 2000.0 * u * u)
     g = SpaceTimeGrid(1.0, 21, 1.0, 400)
@@ -265,6 +302,17 @@ def test_blow_up_reports_first_bad_step():
     with pytest.raises(BlowUpError, match="non-finite") as info:
         solve(boom, DiffusionSpec.uniform(0.01, 1), u0, g, lipschitz=0.0)
     assert info.value.step == 9  # doubling cascade overflows at a fixed step
+
+
+def test_non_finite_state_in_a_certified_box_is_a_blow_up():
+    """NaN fails both box comparisons, so a NaN source stops the solve as a
+    blow-up, not as a box exit to certify again."""
+    f = wrap(make_reaction("fisher-kpp"), build_mollified_heaviside(0.2))
+    g = SpaceTimeGrid(1.0, 21, 1.0, 40)
+    with pytest.raises(BlowUpError, match="non-finite") as info:
+        solve(f, DiffusionSpec.uniform(0.01, 1), cosine_profile(g), g,
+              source=lambda t: np.nan if t >= 0.5 else 0.0)
+    assert info.value.step == 21
 
 
 def test_solver_input_validation():
@@ -383,8 +431,13 @@ def reference_march(f, D, u0, grid, source=None, boundary="neumann"):
     n = u0.shape[0]
     dt, h = grid.dt, grid.h
     dirichlet = boundary == "dirichlet"
-    mats = [[_banded_heat_matrix(grid.nodes[ax], dt * dn / h[ax] ** 2, dirichlet)
-             for ax in range(grid.ndim)] for dn in D.as_array()]
+
+    def banded(m, r):  # heat_bands in the layout solve_banded takes
+        sub, diag, sup = heat_bands(m, r, dirichlet)
+        return np.array([np.roll(sup, 1), diag, np.roll(sub, -1)])
+
+    mats = [[banded(grid.nodes[ax], dt * dn / h[ax] ** 2) for ax in range(grid.ndim)]
+            for dn in D.as_array()]
 
     def hold(v):
         for ax in range(1, v.ndim):
@@ -452,12 +505,54 @@ def test_factored_solve_equals_the_banded_reference_bitwise(ndim, boundary, term
     assert got.species_mass.tobytes() == mass.tobytes()
 
 
+# ----------------------------------------------- the mirror-ghost operator
+
+
+def dense(bands):
+    sub, diag, sup = bands
+    return np.diag(diag) + np.diag(sup[:-1], 1) + np.diag(sub[1:], -1)
+
+
+@pytest.mark.parametrize("m", [3, 4, 8, 41])
+def test_mirror_laplacian_and_its_transpose_apply_the_bands(m):
+    """Both applies of the operator are the dense matrix of its bands."""
+    h = 0.13
+    L = dense(mirror_bands(m)) / h ** 2
+    rows = np.eye(m)  # row j of the batch is e_j
+    assert mirror_laplacian(rows, h).T.tobytes() == L.tobytes()
+    assert mirror_laplacian_transpose(rows, h).T.tobytes() == L.T.tobytes()
+
+
 @pytest.mark.parametrize("m", [3, 8, 41])
-def test_heat_matrix_uses_the_learning_laplacian(m):
-    """The implicit matrix is I - r h^2 L with the mirror-ghost Laplacian L
-    of the learning problem: its zero residual on true states needs both."""
+def test_mirror_laplacian_transpose_identity(m):
+    """<L u, w> = <u, L^T w> row by row on random batches."""
+    rng = np.random.default_rng(m)
+    h = 0.07
+    u = rng.standard_normal((3, 5, m))
+    w = rng.standard_normal((3, 5, m))
+    lhs = np.sum(mirror_laplacian(u, h) * w, axis=-1)
+    rhs = np.sum(u * mirror_laplacian_transpose(w, h), axis=-1)
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12 / h ** 2)
+
+
+@pytest.mark.parametrize("m", [3, 8, 41])
+def test_heat_bands_are_identity_minus_r_h2_laplacian(m):
+    """The implicit matrix is I - r h^2 L with the same L; Dirichlet keeps
+    those rows inside and holds both ends with identity rows."""
     h, r = 0.13, 0.37
-    ab = _banded_heat_matrix(m, r, False)
-    dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
-    lap = _laplacian(np.eye(m), h).T  # row j of the batch is L e_j
-    np.testing.assert_allclose(dense, np.eye(m) - r * h ** 2 * lap, rtol=0.0, atol=1e-14)
+    L = mirror_laplacian(np.eye(m), h).T
+    neumann = dense(heat_bands(m, r, False))
+    np.testing.assert_allclose(neumann, np.eye(m) - r * h ** 2 * L, rtol=0.0, atol=1e-14)
+    held = dense(heat_bands(m, r, True))
+    assert np.array_equal(held[[0, -1]], np.eye(m)[[0, -1]])
+    assert np.array_equal(held[1:-1], neumann[1:-1])
+
+
+@pytest.mark.parametrize("m", [3, 8, 41, 399])
+def test_trapezoid_weights_annihilate_the_laplacian(m):
+    """w^T L = 0: pure diffusion conserves the trapezoid mass."""
+    h = 2.5 / (m - 1)
+    L = mirror_laplacian(np.eye(m), h).T
+    w = trapezoid_weights(m, h)
+    np.testing.assert_allclose(w @ L, 0.0, atol=1e-12 / h)
+    assert SpaceTimeGrid(2.5, m, 1.0, 1).quadrature_weights().tobytes() == w.tobytes()

@@ -135,17 +135,6 @@ def test_lipschitz_product_bounds_sampled_estimate():
     assert doubled.sampled_lipschitz([-3, -3], [3, 3], samples=4000) <= doubled.lipschitz_bound()
 
 
-def test_parameter_norm_bound_enforced():
-    widths = (1, 4, 1)
-    n = MLPReaction.parameter_count(widths)
-    theta = np.ones(n)
-    with pytest.raises(ValueError, match="psi"):
-        MLPReaction(widths, theta, psi_bound=1.0, bound_active=True)
-    MLPReaction(widths, theta, psi_bound=np.sqrt(n) + 1.0, bound_active=True)
-    with pytest.raises(ValueError, match="psi_bound"):
-        MLPReaction(widths, theta, bound_active=True)
-
-
 def test_architecture_validation():
     with pytest.raises(ValueError, match="mismatched ends"):
         MLPReaction((2, 4, 3), np.zeros(MLPReaction.parameter_count((2, 4, 3))))
