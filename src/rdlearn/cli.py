@@ -23,6 +23,7 @@ from importlib import resources
 
 import numpy as np
 
+from rdlearn._sampling import as_weights
 from rdlearn.consistency import WrapperSchedule, rate_preservation_study, wrap
 from rdlearn.learn import MeasurementOperator, identification_sweep, make_schedule
 from rdlearn.quasipos import BoundaryLayer, BoundaryMeasure, nonlinear_volume_report, sample_members
@@ -286,15 +287,41 @@ def _build_reaction(cfg: ExperimentConfig, n: int):
     return f
 
 
+def _cutoff(cfg: ExperimentConfig, eps_default=None) -> TransitionFunction:
+    """The [wrapper] cutoff: ramp center eps, half-width delta (eps / 2 unless given)."""
+    eps = cfg.getfloat("wrapper", "eps", default=eps_default, minimum=0.0)
+    delta = cfg.getfloat("wrapper", "delta", default=eps / 2.0, minimum=0.0)
+    try:
+        return TransitionFunction(eps, delta, default_kernel())
+    except ValueError as exc:
+        raise ConfigError(f"wrapper.delta: {exc}") from None
+
+
 def _maybe_wrap(cfg: ExperimentConfig, f):
-    eps = cfg.get("wrapper", "eps")
-    if eps is None:
+    if cfg.get("wrapper", "eps") is None:
         return f
     if f is None:
         raise ConfigError("wrapper.eps given but reaction.name is 'none'")
-    eps = cfg.getfloat("wrapper", "eps", minimum=0.0)
-    delta = cfg.getfloat("wrapper", "delta", default=eps / 2.0, minimum=0.0)
-    return wrap(f, TransitionFunction(eps, delta, default_kernel()))
+    return wrap(f, _cutoff(cfg))
+
+
+def _weights(cfg: ExperimentConfig, n: int) -> np.ndarray:
+    weights = cfg.getfloats("reaction", "weights", default=[1.0] * n)
+    try:
+        return as_weights(weights, n)
+    except ValueError as exc:
+        raise ConfigError(f"reaction.weights: {exc}, got {weights}") from None
+
+
+def _diffusion(cfg: ExperimentConfig, n: int) -> DiffusionSpec:
+    """reaction.diffusion: one coefficient per species, or one shared by all."""
+    d = cfg.getfloats("reaction", "diffusion")
+    if len(d) not in (1, n):
+        raise ConfigError(f"reaction.diffusion needs one value or {n}, one per species, got {d}")
+    try:
+        return DiffusionSpec(tuple(d * n if len(d) == 1 else d))
+    except ValueError as exc:
+        raise ConfigError(f"reaction.diffusion: {exc}") from None
 
 
 def _parse_levels(text: str) -> list:
@@ -332,14 +359,11 @@ def _cmd_simulate(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespac
     grid = _build_grid(cfg)
     n = cfg.getint("domain", "species", minimum=0)
     f = _maybe_wrap(cfg, _build_reaction(cfg, n))
-    diffusion = cfg.getfloats("reaction", "diffusion")
-    if len(diffusion) == 1 and n > 1:
-        diffusion = diffusion * n
-    weights = cfg.getfloats("reaction", "weights", default=[1.0] * n)
+    D = _diffusion(cfg, n)
+    weights = _weights(cfg, n)
     u0 = _initial_state(cfg, grid, n)
-    D = DiffusionSpec(tuple(diffusion))
 
-    traj = solve(f, D, u0, grid, c=np.asarray(weights))
+    traj = solve(f, D, u0, grid, c=weights)
 
     header = ["t", *"xy"[:grid.ndim]] + [f"species_{i + 1}" for i in range(n)]
     out.write_csv("trajectory.csv", header, _trajectory_blocks(traj.values, grid))
@@ -364,9 +388,8 @@ def _cmd_check(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) 
     box = cfg.getfloats("reaction", "box", default=[0.0, 2.0])
     if len(box) != 2 or box[0] >= box[1]:
         raise ConfigError(f"reaction.box must be lo,hi with lo < hi, got {box}")
-    weights = cfg.getfloats("reaction", "weights", default=[1.0] * n)
     report = check_conditions(f, [box[0]] * n, [box[1]] * n,
-                              samples=20_000, c=np.asarray(weights), seed=args.seed)
+                              samples=20_000, c=_weights(cfg, n), seed=args.seed)
     rows = [("quasipositivity", int(report.quasipos_ok))]
     if report.mass_ok is not None:
         rows.append(("mass_control", int(report.mass_ok)))
@@ -429,15 +452,13 @@ def _cmd_quasipos(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespac
 
 
 def _cmd_transition(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) -> int:
-    eps = cfg.getfloat("wrapper", "eps", default=0.1, minimum=0.0)
-    delta = cfg.getfloat("wrapper", "delta", default=eps / 2.0, minimum=0.0)
-    chi = TransitionFunction(eps, delta, default_kernel())
-    xs = np.linspace(0.0, 1.25 * (eps + delta), 257)
+    chi = _cutoff(cfg, eps_default=0.1)
+    xs = np.linspace(0.0, 1.25 * (chi.eps + chi.delta), 257)
     out.write_csv("transition.csv", ["x", "value", "derivative"],
                   ((x, chi(x), chi.derivative(x)) for x in xs))
     out.finish()
     print(f"certified slope bound {chi.slope_bound:.6g} "
-          f"(product with eps: {eps * chi.slope_bound:.6g})")
+          f"(product with eps: {chi.eps * chi.slope_bound:.6g})")
     return 0
 
 
@@ -449,7 +470,8 @@ def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) 
     f_true = _build_reaction(cfg, n)
     if f_true is None:
         raise ConfigError("learn needs reaction.name (the ground truth)")
-    diffusion = cfg.getfloats("reaction", "diffusion")
+    # the learning problem has one diffusion coefficient, shared by all species
+    diffusion = cfg.getfloat("reaction", "diffusion", minimum=0.0)
     widths = tuple(cfg.getints("reaction", "widths", default=[n, 16, n]))
     if widths[0] != n or widths[-1] != n:
         raise ConfigError(f"reaction.widths must start and end with {n}, got {widths}")
@@ -506,11 +528,11 @@ def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) 
             raise ConfigError(f"measurement.modes needs one entry per level, got {modes}")
         ops = [MeasurementOperator("fourier", modes=k) for k in modes]
     else:
-        raise ConfigError(f"measurement.kind must be full, subsample or fourier")
+        raise ConfigError(f"measurement.kind must be full, subsample or fourier, got {kind!r}")
 
     max_iters = cfg.getint("optimizer", "max_iters", default=8000, minimum=0)
     rows, results = identification_sweep(
-        f_true, diffusion[0], u0s, grid, scheds, ops, widths,
+        f_true, diffusion, u0s, grid, scheds, ops, widths,
         box_lo=[box[0]] * n, box_hi=[box[1]] * n, seed=args.seed,
         step=cfg.getfloat("optimizer", "step", default=0.05, minimum=0.0),
         max_iters=max_iters,

@@ -236,7 +236,7 @@ class ConsistentReaction(ReactionTerm):
         return max(chi.slope_bound for chi in self.chi_list)
 
     def consistency_constants(self, c=None) -> ConsistencyConstants:
-        c = self.c if c is None else np.asarray(c, dtype=float)
+        c = self.c if c is None else as_weights(c, self.n_species)
         L, label = self._lip
         K0, K1, K = mass_growth_constants(self.base.eval(np.zeros(self.n_species)), L, c)
         return ConsistencyConstants(K0, K1, K, L, label)

@@ -22,23 +22,26 @@ choice delta = eps / 2 is the mollified heaviside; its slope satisfies
 the lower bound because chi must cross from 1 to 0 inside a ramp of width
 eps, the upper bound from the kernel rescaling.
 
-The antiderivative has no elementary closed form, so it is tabulated once
-by composite Simpson quadrature on a fine grid and interpolated with a
-monotone (shape-preserving) cubic. A batch of 1024 points or more is
-evaluated straight from the PCHIP coefficients, its interval found from
-the uniform node spacing instead of a search, with the same bits as the
-interpolant's own call, which serves smaller batches. Plateau values are still returned exactly, never through the table, so
-downstream exactness checks can compare against 1.0 and 0.0 bitwise.
+The antiderivative has no elementary closed form, so it is tabulated once:
+per-panel Simpson sums on 32768 uniform panels give E at the nodes, and
+each panel carries the cubic Hermite piece through those values with the
+exact slopes E' = eta. The pieces join with matching value and slope, and
+every batch is evaluated by the same numpy path: the panel index comes
+from the uniform spacing, the cubic from Horner's rule. Plateau values are
+returned exactly, never through the table, so downstream exactness checks
+can compare against 1.0 and 0.0 bitwise. The top node holds exactly 1.0;
+the tail below 1e-17 near -1 is left as the table gives it, not clipped,
+so E may dip below 0 there by far less than an ulp of 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import PchipInterpolator
+
+_PANELS = 32_768  # a power of two, so the nodes and the scaling by _PANELS / 2 are exact
 
 
 def _bump_raw(x: np.ndarray) -> np.ndarray:
@@ -59,35 +62,35 @@ class MollifierKernel:
     ----------
     c_eta : float
         Normalization constant, 1 / integral of the raw bump.
-    nodes : ndarray
-        Tabulation grid on [-1, 1], at least 2049 points (2048 panels).
-    antiderivative : PchipInterpolator
-        Monotone cubic interpolant of E, the antiderivative of eta with
-        E(-1) = 0 and E(1) = 1.
+    coef : ndarray, shape (32768, 4)
+        Per panel [-1 + k h, -1 + (k + 1) h], h = 2 / 32768, the cubic
+        Hermite piece of E in s = (x + 1) / h - k, lowest power first. It
+        interpolates E and its exact slope eta at both panel ends.
     sup_value : float
         sup eta = eta(0) = c_eta / e.
     sup_abs_derivative : float
-        sup |eta'|, located numerically on the tabulation grid and
-        refined by golden-section search.
+        sup |eta'| = |eta'(3^(-1/4))|: (log |eta'|)' vanishes where 3 x^4 = 1.
     """
 
-    def __init__(self, panels: int = 32_768):
-        if panels < 2048:
-            raise ValueError(f"kernel table needs >= 2048 panels, got {panels}")
-        if panels % 2:
-            raise ValueError("panel count must be even for Simpson quadrature")
-        self.panels = panels
-        self.nodes = np.linspace(-1.0, 1.0, panels + 1)
-        raw = _bump_raw(self.nodes)
-        cumulative = cumulative_simpson(raw, x=self.nodes, initial=0.0)
-        total = cumulative[-1]
-        self.c_eta = 1.0 / total
-        table = np.minimum(cumulative / total, 1.0)
-        # Cumulative Simpson of a nonnegative integrand on this grid is
-        # nondecreasing, which PCHIP preserves.
-        self.antiderivative = PchipInterpolator(self.nodes, table, extrapolate=False)
+    def __init__(self):
+        h = 2.0 / _PANELS
+        nodes = -1.0 + h * np.arange(_PANELS + 1)
+        raw = _bump_raw(nodes)
+        mid = _bump_raw(nodes[:-1] + 0.5 * h)
+        cumulative = np.concatenate(([0.0], np.cumsum(h / 6.0 * (raw[:-1] + 4.0 * mid + raw[1:]))))
+        # normalizing by the last partial sum puts exactly 1.0 at x = 1
+        self.c_eta = 1.0 / cumulative[-1]
+        value = cumulative / cumulative[-1]
+        slope = h * self(nodes)
+        rise = np.diff(value)
+        self.coef = np.column_stack((
+            value[:-1],
+            slope[:-1],
+            3.0 * rise - 2.0 * slope[:-1] - slope[1:],
+            slope[:-1] + slope[1:] - 2.0 * rise,
+        ))
         self.sup_value = self.c_eta * np.exp(-1.0)
-        self.sup_abs_derivative = self._locate_sup_derivative()
+        self.sup_abs_derivative = float(-self.derivative(np.array([3.0 ** -0.25]))[0])
 
     def __call__(self, x) -> np.ndarray:
         """Evaluate eta(x), vectorized; exact zeros outside (-1, 1)."""
@@ -106,10 +109,11 @@ class MollifierKernel:
     def integral_of(self, x) -> np.ndarray:
         """E(x) with exact plateaus: 0 for x <= -1, 1 for x >= 1; NaN stays NaN.
 
-        Inside (-1, 1) a batch of fewer than 1024 points goes through the
-        interpolant's own call: its search starts from the last point's
-        interval, so on points ordered along a grid it costs less at that
-        size. A larger batch goes through `_table`. Both give the same bits.
+        Inside (-1, 1), t = (x + 1) / h picks panel k = floor(t), clamped
+        to the last panel for the x just below 1 whose t rounds up to the
+        panel count, and the panel's cubic is summed at s = t - k. Pieces
+        join with matching value and slope, so a point on a node is right
+        in either neighbour.
         """
         x = np.asarray(x, dtype=float)
         out = np.full_like(x, np.nan)
@@ -117,54 +121,21 @@ class MollifierKernel:
         out[x >= 1.0] = 1.0
         inside = (x > -1.0) & (x < 1.0)
         if np.any(inside):
-            xi = x[inside]
-            out[inside] = self.antiderivative(xi) if xi.size < 1024 else self._table(xi)
+            t = (x[inside] + 1.0) * (_PANELS / 2)
+            k = np.minimum(t.astype(np.intp), _PANELS - 1)
+            s = t - k
+            c0, c1, c2, c3 = self.coef.take(k, axis=0).T
+            out[inside] = ((c3 * s + c2) * s + c1) * s + c0
         return out
 
-    def _table(self, x: np.ndarray) -> np.ndarray:
-        """The interpolant at points of (-1, 1), summed from its coefficients.
-
-        Each cubic piece is summed term by term in the order the
-        interpolant's own evaluation uses, so the value equals
-        `antiderivative(x)` bit for bit. The nodes are uniform up to
-        rounding, so floor((x + 1) / h) is the interval of x or one next to
-        it, and one comparison with the nodes on each side replaces the
-        binary search.
-        """
-        nodes, c = self.nodes, self.antiderivative.c
-        k = np.minimum(((x + 1.0) / (2.0 / self.panels)).astype(np.intp), self.panels - 1)
-        k -= x < nodes[k]
-        k += x >= nodes[k + 1]
-        s = x - nodes[k]
-        s2 = s * s
-        return c[3, k] + c[2, k] * s + c[1, k] * s2 + c[0, k] * (s2 * s)
-
-    def _locate_sup_derivative(self) -> float:
-        grid = np.linspace(0.0, 1.0 - 1e-9, 20_001)
-        vals = np.abs(self.derivative(grid))
-        k = int(np.argmax(vals))
-        lo = grid[max(k - 1, 0)]
-        hi = grid[min(k + 1, grid.size - 1)]
-        phi = (np.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        for _ in range(80):
-            c = b - phi * (b - a)
-            d = a + phi * (b - a)
-            if abs(self.derivative(np.array([c]))[0]) > abs(self.derivative(np.array([d]))[0]):
-                b = d
-            else:
-                a = c
-        x_star = 0.5 * (a + b)
-        return float(abs(self.derivative(np.array([x_star]))[0]))
-
     def __repr__(self) -> str:
-        return f"MollifierKernel(panels={self.panels}, c_eta={self.c_eta:.12g})"
+        return f"MollifierKernel(c_eta={self.c_eta:.12g})"
 
 
-@lru_cache(maxsize=4)
-def default_kernel(panels: int = 32_768) -> MollifierKernel:
-    """Shared kernel instance; the table is built once per panel count."""
-    return MollifierKernel(panels)
+@cache
+def default_kernel() -> MollifierKernel:
+    """Shared kernel instance; the table is built once."""
+    return MollifierKernel()
 
 
 @dataclass(frozen=True)

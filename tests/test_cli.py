@@ -188,6 +188,30 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+TWO_SPECIES_CFG = (SIM_CFG.replace("species = 1", "species = 2")
+                   .replace("cosine:0.5,0.4,1", "cosine:0.5,0.4,1|constant:0.2")
+                   .replace("fisher-kpp", "gray-scott"))
+BAD_WEIGHTS_CFG = SIM_CFG.replace("diffusion = 0.05", "diffusion = 0.05\nweights = 1,2,3")
+
+
+@pytest.mark.parametrize("command, text, named", [
+    ("simulate", TWO_SPECIES_CFG.replace("diffusion = 0.05", "diffusion = 0.1,0.2,0.3"),
+     "reaction.diffusion"),
+    ("simulate", BAD_WEIGHTS_CFG, "reaction.weights"),
+    ("check", BAD_WEIGHTS_CFG, "reaction.weights"),
+    ("simulate", SIM_CFG.replace("eps = 0.2", "eps = 0.2\ndelta = 0.3"), "wrapper.delta"),
+    ("learn", LEARN_CFG.replace("diffusion = 0.02", "diffusion = 0.02,0.5"),
+     "reaction.diffusion must be a number"),
+    ("learn", LEARN_CFG.replace("kind = subsample", "kind = spectral"),
+     "measurement.kind must be full, subsample or fourier, got 'spectral'"),
+], ids=["diffusion", "weights-simulate", "weights-check", "delta", "diffusion-learn", "kind"])
+def test_inconsistent_values_exit_2_and_name_the_key(command, text, named, tmp_path, capsys):
+    cfg = write(tmp_path, text)
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert named in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

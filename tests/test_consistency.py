@@ -101,9 +101,7 @@ def test_cutoff_per_component():
 @pytest.mark.parametrize("rows", [150, 1500, 4000])
 def test_shared_cutoff_is_one_call_with_per_column_bits(n, rows, monkeypatch):
     """One cutoff shared by every component is evaluated on the whole batch
-    in one call, with the bits of a per-column evaluation. With 1500 rows a
-    column's ramp holds fewer points than the 1024-point table cut and the
-    batch's ramp more; 150 and 4000 rows keep both on one side of it."""
+    in one call, with the bits of a per-column evaluation."""
     chi = build_mollified_heaviside(0.3)
     rng = np.random.default_rng(rows + n)
     u = rng.uniform(0.0, 0.6, (rows, n))  # about half inside the ramp (0.15, 0.45)
@@ -124,9 +122,6 @@ def test_shared_cutoff_is_one_call_with_per_column_bits(n, rows, monkeypatch):
     cut = Cutoffs((chi,) * n, u)
     values, derivatives = cut.values, cut.derivatives
     assert calls == ["evaluate", "derivative"]
-    ramp = ((u > 0.15) & (u < 0.45)).sum(axis=0)
-    if rows == 1500:
-        assert ramp.max() < 1024 < ramp.sum()
     expected = np.column_stack([chi(u[:, k]) for k in range(n)])
     assert values.tobytes() == expected.tobytes()
     expected = np.column_stack([chi.derivative(u[:, k]) for k in range(n)])
@@ -251,6 +246,17 @@ def test_constants_certified_for_parameterized():
     given = wrap(mlp, build_mollified_heaviside(0.2), lipschitz=2.5)
     assert given.consistency_constants().lipschitz == 2.5
     assert given.consistency_constants().label == "sampled"
+
+
+@pytest.mark.parametrize("c", [[-1.0, 0.0], [1.0]], ids=["nonpositive", "short"])
+def test_constants_reject_the_weights_wrap_rejects(c):
+    mlp = MLPReaction.from_seed((2, 4, 2), seed=0)
+    chi = build_mollified_heaviside(0.2)
+    with pytest.raises(ValueError) as at_wrap:
+        wrap(mlp, chi, c=c)
+    with pytest.raises(ValueError) as at_constants:
+        wrap(mlp, chi).consistency_constants(c=c)
+    assert str(at_constants.value) == str(at_wrap.value)
 
 
 def test_local_lipschitz_profile():

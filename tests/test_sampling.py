@@ -1,8 +1,9 @@
 """Tests for the quasi-random sampling helpers.
 
 The scrambled Halton sequence is written with numpy alone; scipy's
-qmc.Halton is its oracle here, and only here, so that importing the
-package does not load scipy.stats.
+qmc.Halton is its oracle here, and only here. Importing the package loads
+scipy only for its LAPACK tridiagonal routines: not scipy.stats, nor
+scipy.interpolate or scipy.integrate.
 """
 
 import os
@@ -30,11 +31,12 @@ def test_halton_box_equals_scipy_halton_bitwise(dim, seed):
         assert ours.tobytes() == expected.tobytes()
 
 
-def test_importing_the_cli_leaves_scipy_stats_unloaded():
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.interpolate", "scipy.integrate"])
+def test_importing_the_cli_leaves_scipy_module_unloaded(module):
     # the child imports the same rdlearn sources as this process
     src = os.path.dirname(os.path.dirname(os.path.abspath(rdlearn.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, rdlearn.cli; print('scipy.stats' in sys.modules)"
+    code = f"import sys, rdlearn.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
