@@ -53,6 +53,16 @@ def lift(f, chi_u):
     return f - np.minimum(f, 0.0) * chi_u
 
 
+def lift_partials(f, cut: Cutoffs):
+    """The partials of `lift` at a batch: (d/df, d/du_n through chi).
+
+    d/df = 1 - 1_{f<0} chi(u_n), with the indicator false at the kink
+    f = 0, and d/du_n = -P_-(f) chi'(u_n).
+    """
+    return (1.0 - (f < 0.0) * cut.values,
+            -(np.minimum(f, 0.0) * cut.derivatives))
+
+
 class Cutoffs:
     """chi(u_n) per component of a batch (S, N), and chi'(u_n) on first use.
 
@@ -168,12 +178,10 @@ class ConsistentReaction(ReactionTerm):
         """
         ub, single = _atleast_batch(u, self.n_species)
         f, J = self.base.value_and_jacobian(ub)
-        cut = self.cutoffs(ub) if cut is None else cut
-        neg = f < 0.0
-        scale = 1.0 - neg * cut.values
+        scale, d_u = lift_partials(f, self.cutoffs(ub) if cut is None else cut)
         out = scale[:, :, None] * J
         diag = np.arange(self.n_species)
-        out[:, diag, diag] -= np.minimum(f, 0.0) * cut.derivatives
+        out[:, diag, diag] += d_u
         return out[0] if single else out
 
     # -- reverse-mode helpers for parameterized bases -------------------
@@ -200,11 +208,9 @@ class ConsistentReaction(ReactionTerm):
         ub, _ = _atleast_batch(u, self.n_species)
         cot, _ = _atleast_batch(cotangent, self.n_species)
         tape = self.forward(ub) if tape is None else tape
-        f = tape.f
-        scale = 1.0 - (f < 0.0) * tape.cut.values
-        theta_grad, u_grad = self.base.vjp(ub, cot * scale, (f, tape.acts))
-        u_grad = u_grad - cot * np.minimum(f, 0.0) * tape.cut.derivatives
-        return theta_grad, u_grad
+        scale, d_u = lift_partials(tape.f, tape.cut)
+        theta_grad, u_grad = self.base.vjp(ub, cot * scale, (tape.f, tape.acts))
+        return theta_grad, u_grad + cot * d_u
 
     def jac_vjp(self, u, cot_jac, cot_val=None):
         """theta-gradient of <cot_jac, grad fbar(u)> + <cot_val, fbar(u)>."""
@@ -215,11 +221,10 @@ class ConsistentReaction(ReactionTerm):
             cot_jac = cot_jac[None]
         f = self.base.eval(ub)
         cut = self.cutoffs(ub)
-        neg = f < 0.0
-        scale = 1.0 - neg * cut.values
+        scale, _ = lift_partials(f, cut)
         base_cot_jac = scale[:, :, None] * cot_jac
         diag = np.arange(self.n_species)
-        base_cot_val = -(neg * cut.derivatives * cot_jac[:, diag, diag])
+        base_cot_val = -((f < 0.0) * cut.derivatives * cot_jac[:, diag, diag])
         if cot_val is not None:
             cv, _ = _atleast_batch(cot_val, self.n_species)
             base_cot_val = base_cot_val + cv * scale

@@ -3,6 +3,10 @@
 The problem is all-at-once: diffusion coefficients, the full space-time
 state, the initial condition, and the network parameters are decision
 variables simultaneously, with the PDE entering as a penalized residual.
+All trajectories form one batch: the network sees the points of every
+trajectory in one pass, and the Laplacian, the measurement operator and
+the reverse pass act on the whole (trajectories, species, time, nodes)
+block at once.
 The residual is the simulator's IMEX step, and it imports the simulator's
 mirror-ghost Laplacian (`rdsolve.mirror_laplacian` and its transpose)
 rather than keeping a copy, so a simulated trajectory inserted as the
@@ -27,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from rdlearn._sampling import as_box, as_weights, box_quadrature, halton_box, trapezoid_weights
-from rdlearn.consistency import ConsistentReaction, wrap
+from rdlearn.consistency import ConsistentReaction, WrapperSchedule, wrap
 from rdlearn.rdsolve import (DiffusionSpec, SpaceTimeGrid, StateField, mirror_laplacian,
                               mirror_laplacian_transpose, solve)
 from rdlearn.reaction import MLPReaction
@@ -60,7 +64,9 @@ class MeasurementOperator:
     kind "full" returns the grid state unchanged; "subsample" keeps every
     stride-th node and time step; "fourier" projects each time sample onto
     the first `modes` cosine modes (weighted inner products, so the map
-    stays linear and its adjoint is explicit).
+    stays linear and its adjoint is explicit). Every method acts on the
+    last two axes (time, nodes) and maps any leading axes through, so one
+    call measures a whole (trajectories, species, ...) block.
     """
 
     kind: str = "full"
@@ -86,11 +92,11 @@ class MeasurementOperator:
             raise ValueError("modes apply to fourier operators only")
 
     def apply(self, u: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
-        """Measure one trajectory, shape (species, steps+1, nodes)."""
+        """Measure states of shape (..., steps+1, nodes)."""
         if self.kind == "full":
             return np.array(u)
         if self.kind == "subsample":
-            return np.array(u[:, :: self.stride, :: self.stride])
+            return np.array(u[..., :: self.stride, :: self.stride])
         phi = _cosine_basis(grid, self.modes)
         return (u * grid.quadrature_weights()) @ phi
 
@@ -99,8 +105,8 @@ class MeasurementOperator:
         if self.kind == "full":
             return np.array(y)
         if self.kind == "subsample":
-            out = np.zeros((y.shape[0], grid.steps + 1, grid.nodes[0]))
-            out[:, :: self.stride, :: self.stride] = y
+            out = np.zeros(y.shape[:-2] + (grid.steps + 1, grid.nodes[0]))
+            out[..., :: self.stride, :: self.stride] = y
             return out
         phi = _cosine_basis(grid, self.modes)
         return (y @ phi.T) * grid.quadrature_weights()
@@ -110,18 +116,14 @@ class MeasurementOperator:
         if self.kind == "full":
             return np.array(y)
         if self.kind == "subsample":
+            # piecewise linear in x along each kept time row, then in t
             s = self.stride
             K, M = grid.steps, grid.nodes[0]
-            t_obs = np.arange(0, K + 1, s)
-            x_obs = np.arange(0, M, s)
-            out = np.empty((y.shape[0], K + 1, M))
-            for n in range(y.shape[0]):
-                tmp = np.empty((len(t_obs), M))
-                for a, row in enumerate(y[n]):
-                    tmp[a] = np.interp(np.arange(M), x_obs, row)
-                for i in range(M):
-                    out[n, :, i] = np.interp(np.arange(K + 1), t_obs, tmp[:, i])
-            return out
+            in_x = np.apply_along_axis(
+                lambda row: np.interp(np.arange(M), np.arange(0, M, s), row), -1, y)
+            return np.apply_along_axis(
+                lambda col: np.interp(np.arange(K + 1), np.arange(0, K + 1, s), col),
+                -2, in_x)
         phi = _cosine_basis(grid, self.modes)
         gram = phi.T @ (grid.quadrature_weights()[:, None] * phi)
         coeff = np.linalg.solve(gram, y.reshape(-1, self.modes).T)
@@ -182,29 +184,29 @@ class LevelSchedule:
 
     @property
     def preserved_rate(self) -> float:
-        return min(self.alpha * self.gamma, self.beta)
+        """min(alpha gamma, beta), as `WrapperSchedule` defines it."""
+        return WrapperSchedule(self.alpha, self.beta, self.gamma).preserved_rate
 
 
 def make_schedule(alpha: float, beta: float, gamma: float, levels=(1, 2, 3),
                   q: float = 2.0, r: float = 2.0, p: float = 2.0,
-                  delta_rule=None, psi_rule=None,
-                  lam0: float = 1.0, mu0: float = 1.0,
+                  delta_rule=None, lam0: float = 1.0, mu0: float = 1.0,
                   nu0: float = 1.0) -> list[LevelSchedule]:
     """One admissible weight schedule per level.
 
-    lam grows like m to the power preserved-rate * q / 2, mu like the
-    inverse noise radius to the r/2, nu decays at least like 1/m and
-    faster once the parameter-bound rule psi grows. The vanishing-product
+    The cutoff width eps_m and the preserved rate come from
+    `WrapperSchedule`. lam grows like m to the power preserved-rate * q / 2,
+    mu like the inverse noise radius to the r/2, and the parameter bound is
+    psi = m^2, so nu decays like 1/(psi m). The vanishing-product
     requirements are checked numerically: each product must strictly
     decrease along the levels and end below half its initial value.
     The prefactors lam0/mu0/nu0 tune constants the theory leaves free.
     """
-    if not alpha > 1:
-        raise ValueError(f"alpha must exceed 1, got {alpha}")
     if not 0 < gamma < beta:
         raise ValueError(
             f"gamma must satisfy 0 < gamma < beta, got gamma={gamma}, beta={beta}"
         )
+    wrapper = WrapperSchedule(alpha, beta, gamma)
     levels = [int(m) for m in levels]
     if len(levels) < 1 or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
@@ -212,9 +214,7 @@ def make_schedule(alpha: float, beta: float, gamma: float, levels=(1, 2, 3),
         raise ValueError("levels start at 1")
     if delta_rule is None:
         delta_rule = lambda m: 2.0 ** -m
-    if psi_rule is None:
-        psi_rule = lambda m: float(m * m)
-    rate = min(alpha * gamma, beta)
+    rate = wrapper.preserved_rate
     out = []
     for m in levels:
         delta = float(delta_rule(m))
@@ -223,12 +223,12 @@ def make_schedule(alpha: float, beta: float, gamma: float, levels=(1, 2, 3),
                 f"delta_rule must return positive noise radii, got {delta} at "
                 f"level {m}; the data-misfit weight scales like delta^(-r/2)"
             )
-        psi = float(psi_rule(m))
+        psi = float(m * m)
         out.append(LevelSchedule(
-            m=m, eps=float(m) ** -gamma,
+            m=m, eps=wrapper.eps(m),
             lam=lam0 * float(m) ** (rate * q / 2.0),
             mu=mu0 * delta ** (-r / 2.0),
-            nu=nu0 * min(1.0 / m, 1.0 / (psi * m)),
+            nu=nu0 * (1.0 / (psi * m)),
             delta=delta, psi=psi,
             alpha=alpha, beta=beta, gamma=gamma, q=q, r=r, p=p,
         ))
@@ -251,28 +251,35 @@ def make_schedule(alpha: float, beta: float, gamma: float, levels=(1, 2, 3),
 # the problem
 
 
-def _powered(s: float, half_exponent: float):
-    """(s^e, e s^(e-1)) with the 0^negative convention fixed to zero."""
-    if s <= 0.0:
-        return 0.0, 0.0
-    return s ** half_exponent, half_exponent * s ** (half_exponent - 1.0)
+def _powered(s, half_exponent: float):
+    """(s^e, e s^(e-1)) elementwise, with the 0^negative convention fixed
+    to zero where s <= 0; NaN stays NaN."""
+    s = np.asarray(s, dtype=float)
+    off = s <= 0.0
+    s = np.where(off, 1.0, s)
+    return (np.where(off, 0.0, s ** half_exponent),
+            np.where(off, 0.0, half_exponent * s ** (half_exponent - 1.0)))
 
 
 class AllAtOnceProblem:
     """Objective and gradient of the discretized joint recovery problem.
 
     Decision variables, packed flat in this order: diffusion coefficients
-    D (trajectories x species, clipped to d_min from below by the
-    optimizer), states u (trajectories x species x time x nodes), initial
-    conditions u0, network parameters theta. Everything else (data,
+    D (trajectories x species, clipped to the floor d_min = 1e-6 from below
+    by the optimizer), states u (trajectories x species x time x nodes),
+    initial conditions u0, network parameters theta. Everything else (data,
     operator, schedule, quadrature rules on the reaction box) is fixed.
+    All trajectories form one batch: each pass evaluates the network once
+    over the points of every trajectory, and the trajectory terms are sums
+    over the leading trajectory axis.
     """
+
+    d_min = 1e-6
 
     def __init__(self, grid: SpaceTimeGrid, widths, chi, schedule: LevelSchedule,
                  operator: MeasurementOperator, data, *, c=None,
-                 box_lo=None, box_hi=None, d_min: float = 1e-6,
-                 l2_nodes: int = 129, sup_points: int | None = None,
-                 sup_seed: int = 0):
+                 box_lo=None, box_hi=None, l2_nodes: int = 129,
+                 sup_points: int | None = None):
         if grid.ndim != 1:
             raise ValueError("learning problems are posed on 1D grids")
         self.grid = grid
@@ -281,7 +288,6 @@ class AllAtOnceProblem:
         self.chi = chi
         self.schedule = schedule
         self.operator = operator
-        self.d_min = float(d_min)
 
         data = np.asarray(data, dtype=float)
         single = operator.apply(
@@ -305,7 +311,7 @@ class AllAtOnceProblem:
             self.box_lo, self.box_hi, nodes_per_dim=l2_nodes
         )
         count = (4096 * self.n_species) if sup_points is None else int(sup_points)
-        self._sup_pts = halton_box(count, self.box_lo, self.box_hi, seed=sup_seed)
+        self._sup_pts = halton_box(count, self.box_lo, self.box_hi)
 
         self._mlp = MLPReaction(self.widths,
                                 np.zeros(MLPReaction.parameter_count(self.widths)))
@@ -354,8 +360,7 @@ class AllAtOnceProblem:
     def initial_iterate(self, seed: int = 0) -> np.ndarray:
         """Defaults: data-driven state, floor diffusion, small random theta."""
         L, N = self.n_traj, self.n_species
-        u = np.stack([self.operator.reconstruct(self.data[l], self.grid)
-                      for l in range(L)])
+        u = self.operator.reconstruct(self.data, self.grid)
         u0 = u[:, :, 0].copy()
         D = np.full((L, N), self.d_min)
         theta = 0.05 * np.random.default_rng(seed).standard_normal(self._sizes[3])
@@ -389,7 +394,7 @@ class AllAtOnceProblem:
         grid = self.grid
         dt, h = grid.dt, grid.h[0]
         K, M = grid.steps, grid.nodes[0]
-        N = self.n_species
+        L, N = self.n_traj, self.n_species
         w, tw = self._w, self._tw
         fbar = self.reaction(theta)
         terms = {}
@@ -400,7 +405,7 @@ class AllAtOnceProblem:
         s_v = float(np.einsum("k,lnkm,m->", tw, u * u, w)
                     + np.einsum("k,lnkm->", tw, diff * diff) / h)
         v_val, v_slope = _powered(s_v, sched.p / 2.0)
-        terms["state_reg"] = v_val
+        terms["state_reg"] = float(v_val)
         terms["initial_reg"] = float(np.einsum("lnm,m->", u0 * u0, w))
 
         # nu |theta|
@@ -409,8 +414,7 @@ class AllAtOnceProblem:
 
         # |fbar|^2 on the reaction box, fixed trapezoid rule
         l2 = fbar.forward(self._l2_pts, self._l2_cut)
-        fq = l2.value
-        terms["reaction_l2"] = float(np.sum(self._l2_w * np.sum(fq * fq, axis=1)))
+        terms["reaction_l2"] = float(np.sum(self._l2_w * np.sum(l2.value ** 2, axis=1)))
 
         # sampled sup of |grad fbar| on the box (Frobenius, lowest argmax)
         J = fbar.jacobian(self._sup_pts, self._sup_cut)
@@ -419,51 +423,40 @@ class AllAtOnceProblem:
         terms["reaction_grad_sup"] = float(norms[idx])
         sup_cot = J[idx] / norms[idx] if norms[idx] > 0.0 else None
 
-        # trajectory blocks
-        res_total = 0.0
-        init_total = 0.0
-        mis_total = 0.0
-        blocks = []
-        for l in range(self.n_traj):
-            ul = u[l]
-            pts = ul[:, :-1].reshape(N, K * M).T
-            tl = fbar.forward(pts)
-            fvals = tl.value.T.reshape(N, K, M)
-            lap_next = mirror_laplacian(ul[:, 1:], h)
-            res = (ul[:, 1:] - ul[:, :-1]) / dt - D[l][:, None, None] * lap_next - fvals
-            s_res = float(dt * np.einsum("nkm,m->", res * res, w))
-            r_val, r_slope = _powered(s_res, sched.q / 2.0)
-            res_total += sched.lam * r_val
+        # trajectory terms: the points (l, k, m) of every trajectory form one
+        # network batch, and each power acts on one trajectory's sum
+        pts = np.moveaxis(u[:, :, :-1], 1, -1).reshape(-1, N)
+        traj = fbar.forward(pts)
+        fvals = np.moveaxis(traj.value.reshape(L, K, M, N), -1, 1)
+        lap_next = mirror_laplacian(u[:, :, 1:], h)
+        res = (u[:, :, 1:] - u[:, :, :-1]) / dt - D[:, :, None, None] * lap_next - fvals
+        r_val, r_slope = _powered(dt * np.einsum("lnkm,m->l", res * res, w), sched.q / 2.0)
+        terms["residual"] = sched.lam * float(np.sum(r_val))
 
-            d0 = ul[:, 0] - u0[l]
-            init_total += sched.lam * float(np.einsum("nm,m->", d0 * d0, w))
+        d0 = u[:, :, 0] - u0
+        terms["init_misfit"] = sched.lam * float(np.einsum("lnm,m->", d0 * d0, w))
 
-            ku = self.operator.apply(ul, grid)
-            dmis = ku - self.data[l]
-            s_y = float(np.sum(dmis * dmis))
-            y_val, y_slope = _powered(s_y, sched.r / 2.0)
-            mis_total += sched.mu * y_val
-            blocks.append((pts, tl, res, r_slope, lap_next, d0, dmis, y_slope))
-
-        terms["residual"] = res_total
-        terms["init_misfit"] = init_total
-        terms["data_misfit"] = mis_total
+        dmis = self.operator.apply(u, grid) - self.data
+        y_val, y_slope = _powered(np.einsum("lnkm->l", dmis * dmis), sched.r / 2.0)
+        terms["data_misfit"] = sched.mu * float(np.sum(y_val))
 
         for name, value in terms.items():
             if not math.isfinite(value):
                 raise FloatingPointError(f"objective term '{name}' is not finite")
-        tape = (fbar, D, u, u0, theta, diff, v_slope, tn, l2, idx, sup_cot, blocks)
+        tape = (fbar, D, u, u0, theta, diff, v_slope, tn, l2, idx, sup_cot,
+                pts, traj, res, r_slope, lap_next, d0, dmis, y_slope)
         self._last = (x, terms, tape)
         return terms, tape
 
     def _reverse(self, tape) -> np.ndarray:
         """The packed gradient, from the tape of one `_forward` pass."""
-        fbar, D, u, u0, theta, diff, v_slope, tn, l2, idx, sup_cot, blocks = tape
+        (fbar, D, u, u0, theta, diff, v_slope, tn, l2, idx, sup_cot,
+         pts, traj, res, r_slope, lap_next, d0, dmis, y_slope) = tape
         sched = self.schedule
         grid = self.grid
         dt, h = grid.dt, grid.h[0]
         K, M = grid.steps, grid.nodes[0]
-        N = self.n_species
+        L, N = self.n_traj, self.n_species
         w, tw = self._w, self._tw
 
         # sums start from +0.0, so an entry whose first term is -0.0 comes
@@ -487,20 +480,19 @@ class AllAtOnceProblem:
         if sup_cot is not None:
             gth += fbar.jac_vjp(self._sup_pts[idx][None], sup_cot[None])
 
-        for l, (pts, tl, res, r_slope, lap_next, d0, dmis, y_slope) in enumerate(blocks):
-            G = sched.lam * r_slope * 2.0 * dt * res * w
-            gu[l][:, 1:] += G / dt - D[l][:, None, None] * mirror_laplacian_transpose(G, h)
-            gu[l][:, :-1] -= G / dt
-            tg, ug = fbar.value_vjp(pts, -G.reshape(N, K * M).T, tl)
-            gth += tg
-            gu[l][:, :-1] += ug.T.reshape(N, K, M)
-            gD[l] -= np.einsum("nkm,nkm->n", G, lap_next)
+        G = sched.lam * r_slope[:, None, None, None] * 2.0 * dt * res * w
+        gu[:, :, 1:] += G / dt - D[:, :, None, None] * mirror_laplacian_transpose(G, h)
+        gu[:, :, :-1] -= G / dt
+        tg, ug = fbar.value_vjp(pts, -np.moveaxis(G, 1, -1).reshape(-1, N), traj)
+        gth += tg
+        gu[:, :, :-1] += np.moveaxis(ug.reshape(L, K, M, N), -1, 1)
+        gD -= np.einsum("lnkm,lnkm->ln", G, lap_next)
 
-            gu[l][:, 0] += 2.0 * sched.lam * d0 * w
-            gu0[l] -= 2.0 * sched.lam * d0 * w
+        gu[:, :, 0] += 2.0 * sched.lam * d0 * w
+        gu0 -= 2.0 * sched.lam * d0 * w
 
-            gy = sched.mu * y_slope * 2.0 * dmis
-            gu[l] += self.operator.adjoint(gy, grid)
+        gy = sched.mu * y_slope[:, None, None, None] * 2.0 * dmis
+        gu += self.operator.adjoint(gy, grid)
 
         return self.pack(gD, gu, gu0, gth)
 
@@ -540,17 +532,18 @@ class LevelResult:
 
 
 def solve_level(prob: AllAtOnceProblem, x0=None, *, step: float = 0.02,
-                max_iters: int = 5000, tol: float = 1e-8, patience: int = 50,
-                seed: int = 0, keep_terms: bool = False) -> LevelResult:
+                max_iters: int = 5000, seed: int = 0,
+                keep_terms: bool = False) -> LevelResult:
     """Minimize one level with adaptive-moment steps and a monotone guard.
 
     Every proposed step is backtracked (halving) until the objective does
     not increase by more than 1e-12, diffusion coefficients are projected
     onto [d_min, inf) and the parameter vector onto the psi ball after
-    every accepted step. Stops when the relative decrease over `patience`
-    iterations falls below `tol`, when the step underflows, or at
+    every accepted step. Stops when the relative decrease over the last
+    50 iterations falls below 1e-8, when the step underflows, or at
     max_iters; an objective above 10x its initial value aborts.
     """
+    tol, patience = 1e-8, 50
     x = prob.initial_iterate(seed) if x0 is None else np.array(x0, dtype=float)
     obj = prob.objective(x)
     history = [obj]

@@ -269,9 +269,10 @@ class MLPReaction(ReactionTerm):
         a = U
         last = len(self._layers) - 1
         for i, (W, b) in enumerate(self._layers):
-            z = a @ W.T + b
+            z = a @ W.T
+            z += b
             if i < last:
-                a = np.tanh(z)
+                a = np.tanh(z, out=z)
                 acts.append(a)
         return z, acts
 
@@ -326,18 +327,16 @@ class MLPReaction(ReactionTerm):
         gW = [None] * len(self._layers)
         gb = [None] * len(self._layers)
         delta = cot
-        u_grad = None
         for i in reversed(range(len(self._layers))):
             W, _ = self._layers[i]
             gW[i] = delta.T @ acts[i]
             gb[i] = delta.sum(axis=0)
-            a_hat = delta @ W
+            delta = delta @ W  # a fresh array, so the cotangent is never written
             if i > 0:
-                delta = a_hat * (1.0 - acts[i] ** 2)
-            else:
-                u_grad = a_hat
-        theta_grad = self._pack(gW, gb)
-        return theta_grad, (u_grad[0] if single else u_grad)
+                slope = np.square(acts[i])
+                np.subtract(1.0, slope, out=slope)
+                delta *= slope
+        return self._pack(gW, gb), (delta[0] if single else delta)
 
     def jac_vjp(self, u, cot_jac, cot_val=None):
         """Reverse pass through value and Jacobian simultaneously.

@@ -68,6 +68,15 @@ def test_subsample_keeps_every_stride_th_sample():
     np.testing.assert_array_equal(y, u[:, ::2, ::2])
 
 
+def test_subsample_reconstruct_of_a_stack_is_the_stack_of_reconstructs():
+    op = MeasurementOperator("subsample", stride=3)
+    y = np.random.default_rng(5).standard_normal((3, 2, 3, 3))
+    stacked = op.reconstruct(y, GRID)
+    assert stacked.shape == (3, 2, 9, 9)
+    single = np.stack([op.reconstruct(y[l], GRID) for l in range(3)])
+    assert stacked.tobytes() == single.tobytes()
+
+
 def test_subsample_reconstruct_matches_at_kept_nodes():
     op = MeasurementOperator("subsample", stride=4)
     truth = diffusion_truth()
@@ -82,7 +91,7 @@ def test_subsample_reconstruct_matches_at_kept_nodes():
 def test_subsample_adjoint_identity(stride, seed):
     op = MeasurementOperator("subsample", stride=stride)
     rng = np.random.default_rng(seed)
-    u = rng.standard_normal((2, 9, 9))
+    u = rng.standard_normal((3, 2, 9, 9))
     y = rng.standard_normal(op.apply(u, GRID).shape)
     lhs = float(np.vdot(op.apply(u, GRID), y))
     rhs = float(np.vdot(u, op.adjoint(y, GRID)))
@@ -93,7 +102,7 @@ def test_fourier_adjoint_identity():
     grid = SpaceTimeGrid(2.0, 33, 0.3, 6)
     op = MeasurementOperator("fourier", modes=4)
     rng = np.random.default_rng(3)
-    u = rng.standard_normal((1, 7, 33))
+    u = rng.standard_normal((2, 1, 7, 33))
     y = rng.standard_normal(op.apply(u, grid).shape)
     lhs = float(np.vdot(op.apply(u, grid), y))
     rhs = float(np.vdot(u, op.adjoint(y, grid)))
@@ -302,20 +311,34 @@ def test_objective_symmetric_under_trajectory_permutation():
     assert prob_a.objective(xa) == prob_b.objective(xb)
 
 
-def test_gradient_matches_central_differences():
-    """Directional derivatives on the 82-variable problem the acceptance
-    suite reuses; observed worst relative error is about 2e-8."""
+OPERATORS = {
+    "full": MeasurementOperator("full"),
+    "subsample": MeasurementOperator("subsample", stride=2),
+    "fourier": MeasurementOperator("fourier", modes=3),
+}
+
+
+@pytest.mark.parametrize("trajectories, species", [(1, 1), (3, 2)])
+@pytest.mark.parametrize("kind", list(OPERATORS))
+def test_gradient_matches_central_differences(kind, trajectories, species):
+    """Directional derivatives on the problem shape the acceptance suite
+    reuses (82 variables for one trajectory, one species and subsampled
+    data), and on three trajectories of two species, where a layout error
+    in the trajectory batch would show; observed worst relative error is
+    about 2e-7, with the fourier operator, and 6e-8 with the others."""
     grid = SpaceTimeGrid(1.0, 8, 0.1, 5)
     sched = make_schedule(2.0, 1.0, 0.5)[0]
     rng = np.random.default_rng(7)
-    op = MeasurementOperator("subsample", stride=2)
-    data = rng.standard_normal((1, 3, 4))
-    prob = AllAtOnceProblem(grid, (1, 8, 1), build_mollified_heaviside(1.0),
+    op = OPERATORS[kind]
+    L, N = trajectories, species
+    data = rng.standard_normal(op.apply(np.zeros((L, N, 6, 8)), grid).shape)
+    prob = AllAtOnceProblem(grid, (N, 8, N), build_mollified_heaviside(1.0),
                             sched, op, data, sup_points=128, l2_nodes=65)
-    assert prob.n_variables == 82
+    if (kind, L, N) == ("subsample", 1, 1):
+        assert prob.n_variables == 82
     x = prob.initial_iterate(seed=1)
     x += 0.1 * rng.standard_normal(x.size)
-    x[:1] = np.abs(x[:1]) + 0.05
+    x[:L * N] = np.abs(x[:L * N]) + 0.05
     g = prob.gradient(x)
     h = 1e-6
     for _ in range(20):
@@ -323,6 +346,46 @@ def test_gradient_matches_central_differences():
         v /= np.linalg.norm(v)
         fd = (prob.objective(x + h * v) - prob.objective(x - h * v)) / (2.0 * h)
         assert abs(fd - float(g @ v)) <= 1e-5 * max(1.0, abs(fd))
+
+
+@pytest.mark.parametrize("kind", list(OPERATORS))
+def test_trajectory_terms_are_the_sums_of_one_trajectory_problems(kind):
+    """The batch over trajectories changes no trajectory term: each equals
+    the sum of the same term over one-trajectory problems."""
+    rng = np.random.default_rng(21)
+    op = OPERATORS[kind]
+    L, N = 3, 2
+    data = rng.standard_normal(op.apply(np.zeros((L, N, 9, 9)), GRID).shape)
+    whole = small_problem(op, data, widths=(N, 5, N))
+    D, u, u0, theta = whole.unpack(
+        whole.initial_iterate(seed=6) + 0.1 * rng.standard_normal(whole.n_variables))
+    terms = whole.objective_terms(whole.pack(D, u, u0, theta))
+    parts = []
+    for l in range(L):
+        one = small_problem(op, data[l:l + 1], widths=(N, 5, N))
+        parts.append(one.objective_terms(
+            one.pack(D[l:l + 1], u[l:l + 1], u0[l:l + 1], theta)))
+    for name in ("residual", "init_misfit", "data_misfit"):
+        total = sum(p[name] for p in parts)
+        assert terms[name] == pytest.approx(total, rel=1e-13, abs=0.0), name
+
+
+def test_a_gradient_makes_one_value_pass_for_all_trajectories(monkeypatch):
+    """One network reverse pass for the L2 term and one over the points of
+    every trajectory together, however many trajectories there are."""
+    rng = np.random.default_rng(3)
+    prob = small_problem(MeasurementOperator("full"), rng.standard_normal((3, 1, 9, 9)))
+    x = prob.initial_iterate(seed=0)
+    rows = []
+    original = MLPReaction.vjp
+
+    def counted(self, u, *args, **kwargs):
+        rows.append(len(u))
+        return original(self, u, *args, **kwargs)
+
+    monkeypatch.setattr(MLPReaction, "vjp", counted)
+    prob.gradient(x)
+    assert rows == [len(prob._l2_pts), 3 * 8 * 9]
 
 
 def test_gradient_from_a_kept_forward_pass_is_bitwise_fresh():
