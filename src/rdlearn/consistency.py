@@ -94,10 +94,11 @@ class Cutoffs:
 
 @dataclass(frozen=True)
 class WrappedTape:
-    """The forward pass of a wrapped network over a batch.
+    """The forward pass of a wrapped network over a batch (S, N).
 
-    `value` is the wrapped term; `f` and `acts` are the base network's
-    output and layer inputs, and `cut` the batch's cutoffs, which the
+    `value` is the wrapped term and `f` the base network's output, both
+    (S, N); `acts` is the network's points-last tape (the input of every
+    layer, each (width, S)), and `cut` the batch's cutoffs, which the
     reverse pass (`ConsistentReaction.value_vjp`) replays.
     """
 
@@ -213,13 +214,19 @@ class ConsistentReaction(ReactionTerm):
         return theta_grad, u_grad + cot * d_u
 
     def jac_vjp(self, u, cot_jac, cot_val=None):
-        """theta-gradient of <cot_jac, grad fbar(u)> + <cot_val, fbar(u)>."""
+        """theta-gradient of <cot_jac, grad fbar(u)> + <cot_val, fbar(u)>.
+
+        The base network's value and Jacobian pass runs once: its f sets
+        the lift's partials, and its tape is what `MLPReaction.jac_vjp`
+        replays.
+        """
         self._require_param()
         ub, single = _atleast_batch(u, self.n_species)
         cot_jac = np.asarray(cot_jac, dtype=float)
         if single:
             cot_jac = cot_jac[None]
-        f = self.base.eval(ub)
+        state = self.base._value_jac_state(ub)
+        f = state[0]
         cut = self.cutoffs(ub)
         scale, _ = lift_partials(f, cut)
         base_cot_jac = scale[:, :, None] * cot_jac
@@ -228,7 +235,7 @@ class ConsistentReaction(ReactionTerm):
         if cot_val is not None:
             cv, _ = _atleast_batch(cot_val, self.n_species)
             base_cot_val = base_cot_val + cv * scale
-        return self.base.jac_vjp(ub, base_cot_jac, base_cot_val)
+        return self.base.jac_vjp(ub, base_cot_jac, base_cot_val, state)
 
     def _require_param(self):
         if not isinstance(self.base, MLPReaction):

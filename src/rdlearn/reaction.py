@@ -45,6 +45,29 @@ def _atleast_batch(u, n_species):
     raise ValueError(f"expected 1D point or 2D batch, got shape {u.shape}")
 
 
+def _product(W, a):
+    """W @ a for a points-last a (width, S).
+
+    Where the contracted width is 1 this is the broadcast W * a: the same
+    numbers, without numpy's slow matmul path for that shape.
+    """
+    return W * a if W.shape[1] == 1 else W @ a
+
+
+def _times_product(out, W, a):
+    """out *= W @ a in place, and returns out.
+
+    Where the contracted width is 1 the product is applied as two
+    broadcasts, so no (width, S) temporary is made.
+    """
+    if W.shape[1] == 1:
+        out *= W
+        out *= a
+    else:
+        out *= W @ a
+    return out
+
+
 class ReactionTerm:
     """Base type: species count, evaluation rule, optional Jacobian rule.
 
@@ -262,19 +285,21 @@ class MLPReaction(ReactionTerm):
     def forward(self, U):
         """The forward pass over a batch (S, N), kept as a tape.
 
-        Returns (z, acts): the output and the input of every layer, which
-        is what `vjp` replays instead of running the pass again.
+        Returns (z, acts): the output (S, N) and the input of every layer,
+        which is what `vjp` replays instead of running the pass again. The
+        tape is points-last: acts[i] is (width_i, S), so each bias add,
+        tanh and product runs along the long batch axis.
         """
-        acts = [U]
-        a = U
+        a = U.T
+        acts = [a]
         last = len(self._layers) - 1
         for i, (W, b) in enumerate(self._layers):
-            z = a @ W.T
-            z += b
+            z = _product(W, a)
+            z += b[:, None]
             if i < last:
                 a = np.tanh(z, out=z)
                 acts.append(a)
-        return z, acts
+        return z.T, acts
 
     def eval(self, u):
         ub, single = _atleast_batch(u, self.n_species)
@@ -296,22 +321,28 @@ class MLPReaction(ReactionTerm):
     def _value_jac_state(self, U):
         """The forward pass, then df/du carried through its activations.
 
-        Returns (f, acts, J, A_list, Z_list) where A_list[i] = da_i/du and
-        Z_list[i] = dz_{i+1}/du; the lists feed the reverse pass below.
+        Returns (f, acts, J, A_list, Z_list): f (S, N) and J (S, N, N) in
+        the batch layout, and the points-last tape that `jac_vjp` replays:
+        acts as in `forward`, A_list[i] = da_i/du and Z_list[i] =
+        dz_{i+1}/du, each (width, N, S). A_list[0], the identity, and
+        Z_list[0] = W_0 are read-only broadcasts along the points.
         """
         S, N = U.shape
         f, acts = self.forward(U)
-        A = np.broadcast_to(np.eye(N), (S, N, N)).copy()
-        A_list = [A]
+        A_list = [np.broadcast_to(np.eye(N)[:, :, None], (N, N, S))]
         Z_list = []
         for i, (W, _) in enumerate(self._layers):
-            Z = np.einsum("oi,sij->soj", W, A)
+            if i == 0:
+                Z = np.broadcast_to(W[:, :, None], (W.shape[0], N, S))  # W @ I
+            else:
+                Z = _product(W, A_list[i].reshape(W.shape[1], -1)).reshape(W.shape[0], N, S)
             Z_list.append(Z)
             if i + 1 < len(self._layers):
-                a = acts[i + 1]
-                A = (1.0 - a * a)[:, :, None] * Z
-                A_list.append(A)
-        return f, acts, Z_list[-1], A_list, Z_list
+                slope = np.square(acts[i + 1])
+                np.subtract(1.0, slope, out=slope)
+                A_list.append(slope[:, None, :] * Z)
+        J = np.ascontiguousarray(np.moveaxis(Z_list[-1], -1, 0))
+        return f, acts, J, A_list, Z_list
 
     def vjp(self, u, cotangent, tape=None):
         """Reverse pass for the value: returns (theta_grad, u_grad).
@@ -319,33 +350,38 @@ class MLPReaction(ReactionTerm):
         theta_grad is d<cotangent, f(u)>/dtheta (flat), u_grad the same
         quantity differentiated in u, shape of the batch. `tape` is the
         result of `forward` on the same batch; without it the forward
-        pass runs here.
+        pass runs here. u, the cotangent and u_grad are (S, N); inside,
+        the cotangent runs back points-last, (width, S), like the tape.
         """
         ub, single = _atleast_batch(u, self.n_species)
         cot, _ = _atleast_batch(cotangent, self.n_species)
         _, acts = self.forward(ub) if tape is None else tape
         gW = [None] * len(self._layers)
         gb = [None] * len(self._layers)
-        delta = cot
+        delta = cot.T
         for i in reversed(range(len(self._layers))):
             W, _ = self._layers[i]
-            gW[i] = delta.T @ acts[i]
-            gb[i] = delta.sum(axis=0)
-            delta = delta @ W  # a fresh array, so the cotangent is never written
+            gW[i] = delta @ acts[i].T
+            gb[i] = delta.sum(axis=1)
             if i > 0:
                 slope = np.square(acts[i])
                 np.subtract(1.0, slope, out=slope)
-                delta *= slope
-        return self._pack(gW, gb), (delta[0] if single else delta)
+                delta = _times_product(slope, W.T, delta)
+            else:
+                delta = _product(W.T, delta)
+        u_grad = delta.T
+        return self._pack(gW, gb), (u_grad[0] if single else u_grad)
 
-    def jac_vjp(self, u, cot_jac, cot_val=None):
+    def jac_vjp(self, u, cot_jac, cot_val=None, state=None):
         """Reverse pass through value and Jacobian simultaneously.
 
         Computes d(<cot_jac, df/du(u)> + <cot_val, f(u)>)/dtheta. This is
         the second-order pass behind the gradient of sup-norm terms on the
         wrapped Jacobian: the Jacobian forward recursion
         A_{i+1} = (1 - a_{i+1}^2) * (W_i A_i) is itself differentiated in
-        reverse, which costs one extra product chain per layer.
+        reverse, which costs one extra product chain per layer. `state` is
+        the result of `_value_jac_state` on the same batch; without it
+        that pass runs here.
         """
         ub, single = _atleast_batch(u, self.n_species)
         if ub.shape[0] == 0:
@@ -353,28 +389,29 @@ class MLPReaction(ReactionTerm):
         cot_jac = np.asarray(cot_jac, dtype=float)
         if single:
             cot_jac = cot_jac[None]
+        S, N = ub.shape
         if cot_val is None:
-            cot_val = np.zeros_like(ub)
+            z_hat = np.zeros((N, S))
         else:
-            cot_val, _ = _atleast_batch(cot_val, self.n_species)
-        _, acts, _, A_list, Z_list = self._value_jac_state(ub)
+            z_hat = _atleast_batch(cot_val, self.n_species)[0].T
+        _, acts, _, A_list, Z_list = self._value_jac_state(ub) if state is None else state
         L = len(self._layers)
         gW = [None] * L
         gb = [None] * L
-        z_hat = cot_val
-        Z_hat = cot_jac
+        Z_hat = np.moveaxis(cot_jac, 0, -1)
         for i in reversed(range(L)):
             W, _ = self._layers[i]
-            gW[i] = z_hat.T @ acts[i] + np.einsum("soj,sij->oi", Z_hat, A_list[i])
-            gb[i] = z_hat.sum(axis=0)
-            a_hat = z_hat @ W
-            A_hat = np.einsum("oi,soj->sij", W, Z_hat)
+            n_out, n_in = W.shape
+            Z_flat = Z_hat.reshape(n_out, -1)
+            gW[i] = z_hat @ acts[i].T + Z_flat @ A_list[i].reshape(n_in, -1).T
+            gb[i] = z_hat.sum(axis=1)
             if i > 0:
+                a_hat = _product(W.T, z_hat)
+                A_hat = _product(W.T, Z_flat).reshape(n_in, N, S)
                 a_i = acts[i]
                 s = 1.0 - a_i * a_i
-                Z_prev = Z_list[i - 1]
-                z_hat = a_hat * s + np.einsum("sij,sij->si", A_hat, Z_prev) * (-2.0 * a_i * s)
-                Z_hat = s[:, :, None] * A_hat
+                z_hat = a_hat * s + np.sum(A_hat * Z_list[i - 1], axis=1) * (-2.0 * a_i * s)
+                Z_hat = s[:, None, :] * A_hat
         return self._pack(gW, gb)
 
     def _pack(self, gW, gb):

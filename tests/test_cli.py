@@ -9,11 +9,14 @@ with small grids; the long sweeps live in the acceptance suite.
 import hashlib
 import os
 import stat
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import rdlearn
 from rdlearn.cli import (ConfigError, ExperimentConfig, _fmt, _parse_levels,
                          _stop_reason, _trajectory_blocks, main, shipped_config)
 from rdlearn.consistency import wrap
@@ -433,6 +436,32 @@ def test_learn_says_why_each_level_stopped(tmp_path, capsys):
     assert _stop_reason(result(True, 60), 100) == "converged"
     assert _stop_reason(result(False, 100), 100) == "iteration cap"
     assert _stop_reason(result(False, 7), 100) == "step underflow"
+
+
+def test_learn_manifest_is_the_same_under_one_and_two_blas_threads(tmp_path):
+    """The network's products run along the points axis, which is the axis
+    OpenBLAS splits across threads; the outputs must not depend on the
+    split. The run is the shipped learn-toy.cfg at 4 iterations per level,
+    so the products have the shipped 7380-point, width-16 shape. The 672
+    points of LEARN_CFG could not show a split: there even a width-64
+    network gives the same bytes under both thread counts."""
+    with open(shipped_config("learn-toy.cfg")) as fh:
+        text = fh.read().replace("max_iters = 8000", "max_iters = 4")
+    cfg = write(tmp_path, text)
+    src = os.path.dirname(os.path.dirname(rdlearn.__file__))
+    path = os.environ.get("PYTHONPATH")
+    manifests = []
+    for threads in ("1", "2"):
+        out = str(tmp_path / f"threads-{threads}")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": src if not path else src + os.pathsep + path}
+        subprocess.run([sys.executable, "-m", "rdlearn.cli", "learn", "--config", cfg,
+                        "--out", out, "--seed", "0"],
+                       env=env, check=True, capture_output=True, timeout=300)
+        manifests.append(read_manifest(out))
+    assert len(manifests[0].splitlines()) == 4  # three parameter files, results.csv
+    assert manifests[0] == manifests[1]
 
 
 def test_learn_rejects_stride_count_mismatch(tmp_path, capsys):

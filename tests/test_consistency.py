@@ -219,6 +219,23 @@ def test_jac_vjp_matches_finite_differences():
         assert grad[i] == pytest.approx(fd, rel=2e-5, abs=1e-7)
 
 
+def test_jac_vjp_runs_the_base_forward_pass_once(monkeypatch):
+    """The lift's partials take f from the base network's value and
+    Jacobian pass, and the base's second-order pass replays that pass."""
+    g = wrap(MLPReaction.from_seed((2, 8, 2), seed=4), build_mollified_heaviside(0.2))
+    rows = []
+    original = MLPReaction.forward
+
+    def counted(self, U):
+        rows.append(len(U))
+        return original(self, U)
+
+    monkeypatch.setattr(MLPReaction, "forward", counted)
+    P = np.random.default_rng(6).uniform(0.0, 0.4, size=(5, 2))
+    g.jac_vjp(P, np.ones((5, 2, 2)))
+    assert rows == [5]
+
+
 def test_reverse_helpers_require_parameterized_base():
     g = wrap(make_reaction("fisher-kpp"), build_mollified_heaviside(0.2))
     with pytest.raises(TypeError, match="parameterized"):

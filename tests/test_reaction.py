@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from rdlearn.reaction import (
     AnalyticReaction,
     MLPReaction,
+    _product,
     check_conditions,
     load_params,
     make_reaction,
@@ -123,6 +124,127 @@ def test_jacobian_cotangent_pass_matches_finite_differences():
         e[i] = h
         fd = (scalar(mlp.theta + e) - scalar(mlp.theta - e)) / (2 * h)
         assert grad[i] == pytest.approx(fd, rel=2e-5, abs=1e-8)
+
+
+# A row-major reference of the network passes: batch (S, N), one row per
+# point, every layer's input (S, width). It unpacks theta on its own.
+
+
+def _ref_layers(widths, theta):
+    layers, off = [], 0
+    for n_in, n_out in zip(widths[:-1], widths[1:]):
+        W = theta[off:off + n_in * n_out].reshape(n_out, n_in)
+        off += n_in * n_out
+        layers.append((W, theta[off:off + n_out]))
+        off += n_out
+    return layers
+
+
+def _ref_forward(layers, U):
+    acts, a = [U], U
+    for i, (W, b) in enumerate(layers):
+        z = a @ W.T + b
+        if i < len(layers) - 1:
+            a = np.tanh(z)
+            acts.append(a)
+    return z, acts
+
+
+def _ref_jacobian_state(layers, U):
+    S, N = U.shape
+    _, acts = _ref_forward(layers, U)
+    A_list, Z_list = [np.broadcast_to(np.eye(N), (S, N, N))], []
+    for i, (W, _) in enumerate(layers):
+        Z_list.append(np.einsum("oi,sij->soj", W, A_list[i]))
+        if i + 1 < len(layers):
+            A_list.append((1.0 - acts[i + 1] ** 2)[:, :, None] * Z_list[i])
+    return acts, A_list, Z_list
+
+
+def _ref_vjp(layers, U, cot):
+    _, acts = _ref_forward(layers, U)
+    grads, delta = [], cot
+    for i in reversed(range(len(layers))):
+        W, _ = layers[i]
+        grads[:0] = [(delta.T @ acts[i]).ravel(), delta.sum(axis=0)]
+        delta = delta @ W
+        if i > 0:
+            delta = delta * (1.0 - acts[i] ** 2)
+    return np.concatenate(grads), delta
+
+
+def _ref_jac_vjp(layers, U, cot_jac, cot_val):
+    acts, A_list, Z_list = _ref_jacobian_state(layers, U)
+    grads, z_hat, Z_hat = [], cot_val, cot_jac
+    for i in reversed(range(len(layers))):
+        W, _ = layers[i]
+        gW = z_hat.T @ acts[i] + np.einsum("soj,sij->oi", Z_hat, A_list[i])
+        grads[:0] = [gW.ravel(), z_hat.sum(axis=0)]
+        if i > 0:
+            s = 1.0 - acts[i] ** 2
+            A_hat = np.einsum("oi,soj->sij", W, Z_hat)
+            z_hat = ((z_hat @ W) * s
+                     + np.einsum("sij,sij->si", A_hat, Z_list[i - 1]) * (-2.0 * acts[i] * s))
+            Z_hat = s[:, :, None] * A_hat
+    return np.concatenate(grads)
+
+
+def _close_to_reference(got, ref, rows):
+    """The points-last passes differ from the reference only in the order
+    of their sums: over at most `rows` terms along the batch, or 16 along
+    a width. So each entry agrees to gamma_n = n eps of the reference's
+    largest entry, n the longer sum; the factor 4 covers the chained
+    layers. The bound is fixed from float64, not from any observed error.
+    """
+    tol = 4 * max(rows, 16) * np.finfo(float).eps
+    assert got.shape == ref.shape
+    scale = max(1.0, float(np.max(np.abs(ref)))) if ref.size else 1.0
+    assert np.max(np.abs(got - ref), initial=0.0) <= tol * scale
+
+
+@pytest.mark.parametrize("rows", [1, 5, 7380])
+@pytest.mark.parametrize("widths", [(1, 16, 1), (2, 16, 2), (2, 8, 8, 2)])
+def test_points_last_passes_match_a_row_major_reference(widths, rows):
+    rng = np.random.default_rng(rows + 31 * len(widths) + widths[0])
+    theta = rng.normal(0.0, 0.7, size=MLPReaction.parameter_count(widths))
+    mlp = MLPReaction(widths, theta)
+    layers = _ref_layers(widths, theta)
+    N = widths[0]
+    U = rng.uniform(-2.0, 2.0, size=(rows, N))
+    cot = rng.normal(size=(rows, N))
+    cot_jac = rng.normal(size=(rows, N, N))
+
+    f, acts = mlp.forward(U)
+    ref_f, ref_acts = _ref_forward(layers, U)
+    _close_to_reference(f, ref_f, rows)
+    assert [a.shape for a in acts] == [r.T.shape for r in ref_acts]
+    for a, r in zip(acts, ref_acts):
+        _close_to_reference(a, r.T, rows)
+    _close_to_reference(mlp.eval(U), ref_f, rows)
+
+    ref_state = _ref_jacobian_state(layers, U)
+    _close_to_reference(mlp.jacobian(U), ref_state[2][-1], rows)
+
+    ref_theta_grad, ref_u_grad = _ref_vjp(layers, U, cot)
+    for tape in (None, (f, acts)):
+        theta_grad, u_grad = mlp.vjp(U, cot, tape)
+        _close_to_reference(theta_grad, ref_theta_grad, rows)
+        _close_to_reference(u_grad, ref_u_grad, rows)
+
+    _close_to_reference(mlp.jac_vjp(U, cot_jac, cot), _ref_jac_vjp(layers, U, cot_jac, cot), rows)
+    _close_to_reference(mlp.jac_vjp(U, cot_jac),
+                        _ref_jac_vjp(layers, U, cot_jac, np.zeros_like(U)), rows)
+
+
+@pytest.mark.parametrize("shape", [(16, 1, 7380), (16, 1, 5), (2, 1, 14760), (1, 1, 3)])
+def test_width_one_broadcast_is_the_matmul_bitwise(shape):
+    """Where the contracted width is 1, `_product` multiplies by broadcast;
+    numpy's matmul computes the same single products."""
+    n_out, n_in, cols = shape
+    rng = np.random.default_rng(cols)
+    W = rng.normal(size=(n_out, n_in))
+    a = rng.normal(size=(n_in, cols))
+    assert _product(W, a).tobytes() == (W @ a).tobytes()
 
 
 def test_lipschitz_product_bounds_sampled_estimate():
