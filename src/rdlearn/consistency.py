@@ -67,12 +67,20 @@ class Cutoffs:
     """chi(u_n) per component of a batch (S, N), and chi'(u_n) on first use.
 
     Hold one for a point set that does not change, and its cutoffs are
-    evaluated once. When every component shares one cutoff, as `wrap(f, chi)`
-    builds it, the whole batch goes through one call.
+    evaluated once. Given the base term's values f, a cutoff is evaluated
+    only for a batch the lift reads: one with an entry f_n < 0, or a NaN
+    u_n. Otherwise its values are exact zeros, which `lift` and
+    `lift_partials` multiply by P_-(f) = 0 or by the indicator f < 0, so
+    the result keeps its bits. When every component shares one cutoff, as
+    `wrap(f, chi)` builds it, the batch goes through one call; with one
+    cutoff per component, each column is a batch of its own. A batch that
+    is read is read whole: gathering its negative entries and scattering
+    their cutoffs back costs more than the cutoff on the other entries.
     """
 
-    def __init__(self, chi_list, u: np.ndarray):
+    def __init__(self, chi_list, u: np.ndarray, f: np.ndarray | None = None):
         self.chi_list, self.u = chi_list, u
+        self.read = None if f is None else (f < 0.0) | np.isnan(u)
         self.values = self._per_column(lambda chi: chi)
         self._derivatives = None
 
@@ -86,10 +94,18 @@ class Cutoffs:
         """method(chi_n)(u_n) for every component n, as an (S, N) array."""
         first = self.chi_list[0]
         if all(chi is first for chi in self.chi_list):
-            return method(first)(self.u)
-        return np.column_stack(
-            [method(chi)(self.u[:, n]) for n, chi in enumerate(self.chi_list)]
-        )
+            return _read(method(first), self.u, self.read)
+        return np.column_stack([
+            _read(method(chi), self.u[:, n], None if self.read is None else self.read[:, n])
+            for n, chi in enumerate(self.chi_list)
+        ])
+
+
+def _read(fn, u: np.ndarray, read: np.ndarray | None) -> np.ndarray:
+    """fn(u), or exact zeros when no entry of u is read."""
+    if read is None or np.count_nonzero(read):
+        return fn(u)
+    return np.zeros_like(u)
 
 
 @dataclass(frozen=True)
@@ -155,9 +171,11 @@ class ConsistentReaction(ReactionTerm):
 
     # -- evaluation ----------------------------------------------------
 
-    def cutoffs(self, u) -> Cutoffs:
-        """The cutoffs of a batch (S, N); chi' is evaluated when first read."""
-        return Cutoffs(self.chi_list, u)
+    def cutoffs(self, u, f=None) -> Cutoffs:
+        """The cutoffs of a batch (S, N); given the base term's values f,
+        only a batch with a negative f_n is read. chi' is evaluated when
+        first read."""
+        return Cutoffs(self.chi_list, u, f)
 
     def chi_values(self, u) -> np.ndarray:
         """chi(u_n) per component, matching the batch shape of u."""
@@ -166,8 +184,11 @@ class ConsistentReaction(ReactionTerm):
         return out[0] if single else out
 
     def eval(self, u):
+        """fbar(u) = f - P_-(f) chi(u_n). The base term runs first, so a
+        batch with no f_n < 0 (and no NaN u_n) evaluates no cutoff."""
         ub, single = _atleast_batch(u, self.n_species)
-        out = lift(self.base.eval(ub), self.chi_values(ub))
+        f = self.base.eval(ub)
+        out = lift(f, self.cutoffs(ub, f).values)
         return out[0] if single else out
 
     def jacobian(self, u, cut: Cutoffs | None = None):
@@ -175,11 +196,12 @@ class ConsistentReaction(ReactionTerm):
 
         Row n is (1 - 1_{f_n<0} chi(u_n)) * grad f_n, with the extra
         rank-one piece -P_-(f_n) chi'(u_n) on the diagonal. `cut` may
-        carry the batch's cutoffs when they are already known.
+        carry the batch's cutoffs when they are already known; otherwise
+        they are read only if some f_n < 0.
         """
         ub, single = _atleast_batch(u, self.n_species)
         f, J = self.base.value_and_jacobian(ub)
-        scale, d_u = lift_partials(f, self.cutoffs(ub) if cut is None else cut)
+        scale, d_u = lift_partials(f, self.cutoffs(ub, f) if cut is None else cut)
         out = scale[:, :, None] * J
         diag = np.arange(self.n_species)
         out[:, diag, diag] += d_u
@@ -191,12 +213,13 @@ class ConsistentReaction(ReactionTerm):
         """The wrapped value of a batch (S, N) with the tape of its pass.
 
         `cut` may carry the batch's cutoffs when they are already known;
-        chi' is evaluated only if the tape is replayed.
+        otherwise they are read only if some f_n < 0. chi' is evaluated
+        only if the tape is replayed.
         """
         self._require_param()
         ub, _ = _atleast_batch(u, self.n_species)
-        cut = self.cutoffs(ub) if cut is None else cut
         f, acts = self.base.forward(ub)
+        cut = self.cutoffs(ub, f) if cut is None else cut
         return WrappedTape(cut, f, acts, lift(f, cut.values))
 
     def value_vjp(self, u, cotangent, tape: WrappedTape | None = None):
@@ -227,7 +250,7 @@ class ConsistentReaction(ReactionTerm):
             cot_jac = cot_jac[None]
         state = self.base._value_jac_state(ub)
         f = state[0]
-        cut = self.cutoffs(ub)
+        cut = self.cutoffs(ub, f)
         scale, _ = lift_partials(f, cut)
         base_cot_jac = scale[:, :, None] * cot_jac
         diag = np.arange(self.n_species)

@@ -286,10 +286,13 @@ def solve(f, D: DiffusionSpec, u0, grid: SpaceTimeGrid, c=None,
     exceeds 1/2 (pass `lipschitz` to override the bound used) and
     BlowUpError at the first non-finite state. A bound certified on a box
     around u0 is certified again around any state that leaves the box.
+    u0 must be finite and componentwise nonnegative.
     """
     if boundary not in ("neumann", "dirichlet"):
         raise ValueError(f"boundary must be 'neumann' or 'dirichlet', got {boundary!r}")
     n, u0 = _infer_species(f, u0, grid)
+    if not np.isfinite(u0).all():
+        raise ValueError("u0 must be finite")
     if np.any(u0 < 0.0):
         raise ValueError("u0 must be componentwise nonnegative")
     if D.n_species != n:

@@ -26,12 +26,14 @@ The antiderivative has no elementary closed form, so it is tabulated once:
 per-panel Simpson sums on 32768 uniform panels give E at the nodes, and
 each panel carries the cubic Hermite piece through those values with the
 exact slopes E' = eta. The pieces join with matching value and slope, and
-every batch is evaluated by the same numpy path: the panel index comes
-from the uniform spacing, the cubic from Horner's rule. Plateau values are
-returned exactly, never through the table, so downstream exactness checks
-can compare against 1.0 and 0.0 bitwise. The top node holds exactly 1.0;
-the tail below 1e-17 near -1 is left as the table gives it, not clipped,
-so E may dip below 0 there by far less than an ulp of 1.
+every batch is evaluated by the same numpy path: the argument is clipped
+to [-1, 1], the panel index comes from the uniform spacing, the cubic from
+Horner's rule. The bump underflows to zero in the first and last panels,
+so the first panel is exactly the cubic (0, 0, 0, 0) and the last exactly
+(1, 0, 0, 0): plateau values come out of the table as exact 1.0 / 0.0,
+and downstream exactness checks can compare against them bitwise. The
+tail below 1e-17 near -1 is left as the table gives it, not clipped, so E
+may dip below 0 there by far less than an ulp of 1.
 """
 
 from __future__ import annotations
@@ -65,7 +67,10 @@ class MollifierKernel:
     coef : ndarray, shape (32768, 4)
         Per panel [-1 + k h, -1 + (k + 1) h], h = 2 / 32768, the cubic
         Hermite piece of E in s = (x + 1) / h - k, lowest power first. It
-        interpolates E and its exact slope eta at both panel ends.
+        interpolates E and its exact slope eta at both panel ends. It is
+        the transpose of a contiguous (4, 32768) array: each coefficient
+        is one row, gathered by the panel indices in the memory order of
+        the batch, so the cubic's products never mix layouts.
     sup_value : float
         sup eta = eta(0) = c_eta / e.
     sup_abs_derivative : float
@@ -83,12 +88,12 @@ class MollifierKernel:
         value = cumulative / cumulative[-1]
         slope = h * self(nodes)
         rise = np.diff(value)
-        self.coef = np.column_stack((
+        self.coef = np.array((
             value[:-1],
             slope[:-1],
             3.0 * rise - 2.0 * slope[:-1] - slope[1:],
             slope[:-1] + slope[1:] - 2.0 * rise,
-        ))
+        )).T
         self.sup_value = self.c_eta * np.exp(-1.0)
         self.sup_abs_derivative = float(-self.derivative(np.array([3.0 ** -0.25]))[0])
 
@@ -109,24 +114,18 @@ class MollifierKernel:
     def integral_of(self, x) -> np.ndarray:
         """E(x) with exact plateaus: 0 for x <= -1, 1 for x >= 1; NaN stays NaN.
 
-        Inside (-1, 1), t = (x + 1) / h picks panel k = floor(t), clamped
-        to the last panel for the x just below 1 whose t rounds up to the
-        panel count, and the panel's cubic is summed at s = t - k. Pieces
-        join with matching value and slope, so a point on a node is right
-        in either neighbour.
+        x is clipped to [-1, 1] (NaN passes), and t = (x + 1) / h picks panel
+        k = floor(t), the last panel for t = 32768 (x = 1, or an x just
+        below it that rounds up); the panel's cubic is summed at s = t - k.
+        `fmin` sends NaN to the last panel with s = NaN, so NaN stays NaN.
+        Pieces join with matching value and slope, so a point on a node is
+        right in either neighbour.
         """
-        x = np.asarray(x, dtype=float)
-        out = np.full_like(x, np.nan)
-        out[x <= -1.0] = 0.0
-        out[x >= 1.0] = 1.0
-        inside = (x > -1.0) & (x < 1.0)
-        if np.any(inside):
-            t = (x[inside] + 1.0) * (_PANELS / 2)
-            k = np.minimum(t.astype(np.intp), _PANELS - 1)
-            s = t - k
-            c0, c1, c2, c3 = self.coef.take(k, axis=0).T
-            out[inside] = ((c3 * s + c2) * s + c1) * s + c0
-        return out
+        t = (np.minimum(np.maximum(x, -1.0), 1.0) + 1.0) * (_PANELS / 2)
+        k = np.fmin(t, _PANELS - 1).astype(np.intp)
+        s = t - k
+        c0, c1, c2, c3 = (row[k] for row in self.coef.T)
+        return ((c3 * s + c2) * s + c1) * s + c0
 
     def __repr__(self) -> str:
         return f"MollifierKernel(c_eta={self.c_eta:.12g})"
@@ -167,34 +166,19 @@ class TransitionFunction:
     def __call__(self, x) -> np.ndarray:
         return self.evaluate(x)
 
-    def _regions(self, x: np.ndarray):
-        """Masks of x below eps + delta, inside the ramp, and NaN: the one
-        value that fails both comparisons, as eps - delta < eps + delta."""
-        below = x < self.eps + self.delta
-        above = x > self.eps - self.delta
-        return below, above & below, ~(above | below)
-
     def evaluate(self, x) -> np.ndarray:
-        """chi(x), vectorized. Plateau values are exact 1.0 / 0.0; NaN stays NaN."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        below, ramp, nan = self._regions(x)
-        out = below.astype(float)
-        out[nan] = np.nan
-        if np.any(ramp):
-            arg = (x[ramp] - self.eps) / self.delta
-            out[ramp] = 1.0 - self.kernel.integral_of(arg)
-        return out[0] if scalar else out
+        """chi(x) = 1 - E((x - eps) / delta), vectorized. Plateau values are
+        exact 1.0 / 0.0, from the table's end panels; NaN stays NaN."""
+        return 1.0 - self.kernel.integral_of((np.asarray(x, dtype=float) - self.eps) / self.delta)
 
     def derivative(self, x) -> np.ndarray:
         """chi'(x) = -eta((x - eps)/delta) / delta, exact zero off-ramp; NaN stays NaN."""
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        _, ramp, nan = self._regions(x)
+        ramp = (x > self.eps - self.delta) & (x < self.eps + self.delta)
         out = np.zeros_like(x)
-        out[nan] = np.nan
+        out[np.isnan(x)] = np.nan
         if np.any(ramp):
             out[ramp] = -self.kernel((x[ramp] - self.eps) / self.delta) / self.delta
         return out[0] if scalar else out

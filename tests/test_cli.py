@@ -447,7 +447,24 @@ def test_learn_manifest_is_the_same_under_one_and_two_blas_threads(tmp_path):
     network gives the same bytes under both thread counts."""
     with open(shipped_config("learn-toy.cfg")) as fh:
         text = fh.read().replace("max_iters = 8000", "max_iters = 4")
-    cfg = write(tmp_path, text)
+    manifests = manifests_under_one_and_two_blas_threads("learn", write(tmp_path, text),
+                                                         tmp_path)
+    assert len(manifests[0].splitlines()) == 4  # three parameter files, results.csv
+    assert manifests[0] == manifests[1]
+
+
+def test_simulate_manifest_is_the_same_under_one_and_two_blas_threads(tmp_path):
+    """A wrapped two-species 1D run: both species share one diffusion
+    coefficient, so each step is one two-column `dgttrs` solve."""
+    manifests = manifests_under_one_and_two_blas_threads(
+        "simulate", write(tmp_path, TWO_SPECIES_CFG), tmp_path)
+    assert "trajectory.csv" in manifests[0]
+    assert manifests[0] == manifests[1]
+
+
+def manifests_under_one_and_two_blas_threads(command, cfg, tmp_path):
+    """`manifest.txt` of `python -m rdlearn.cli command` run in a fresh
+    process under 1 and under 2 BLAS threads."""
     src = os.path.dirname(os.path.dirname(rdlearn.__file__))
     path = os.environ.get("PYTHONPATH")
     manifests = []
@@ -456,12 +473,11 @@ def test_learn_manifest_is_the_same_under_one_and_two_blas_threads(tmp_path):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
                "MKL_NUM_THREADS": threads,
                "PYTHONPATH": src if not path else src + os.pathsep + path}
-        subprocess.run([sys.executable, "-m", "rdlearn.cli", "learn", "--config", cfg,
+        subprocess.run([sys.executable, "-m", "rdlearn.cli", command, "--config", cfg,
                         "--out", out, "--seed", "0"],
                        env=env, check=True, capture_output=True, timeout=300)
         manifests.append(read_manifest(out))
-    assert len(manifests[0].splitlines()) == 4  # three parameter files, results.csv
-    assert manifests[0] == manifests[1]
+    return manifests
 
 
 def test_learn_rejects_stride_count_mismatch(tmp_path, capsys):

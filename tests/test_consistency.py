@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from rdlearn.consistency import (
     ConsistencyConstants,
+    ConsistentReaction,
     Cutoffs,
     WrapperSchedule,
     rate_preservation_study,
@@ -137,6 +138,117 @@ def test_shared_cutoff_is_one_call_with_per_column_bits(n, rows, monkeypatch):
     assert cut.values.tobytes() == expected.tobytes()
     assert not np.array_equal(cut.values, Cutoffs((chis[0],) * n, u).values,
                               equal_nan=True)
+
+
+def cross_term():
+    """f_0 = 0.3 - u_1, f_1 = u_0 - 0.2: f_0 does not read u_0, so a NaN
+    u_0 leaves f_0 finite and possibly nonnegative."""
+    def fn(u):
+        return np.stack([0.3 - u[:, 1], u[:, 0] - 0.2], axis=1)
+
+    def jac(u):
+        J = np.zeros((u.shape[0], 2, 2))
+        J[:, 0, 1], J[:, 1, 0] = -1.0, 1.0
+        return J
+
+    return AnalyticReaction("cross", 2, fn, jac)
+
+
+def every_cutoff(self, u, f=None):
+    """`ConsistentReaction.cutoffs` that reads chi on every batch: the
+    reference, lift(f, chi(u))."""
+    return Cutoffs(self.chi_list, u)
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-species"])
+@pytest.mark.parametrize("base", ["mlp", "analytic"])
+def test_unread_cutoffs_keep_the_results_of_every_cutoff(base, shared, monkeypatch):
+    """Skipping the cutoffs of a batch (or column) with no f_n < 0 keeps the
+    values of lift(f, chi(u)) bit for bit; gradients may differ only in
+    the sign of a zero. The batches: mixed signs, f >= 0 everywhere, f_1 >= 0
+    with f_0 mixed, and f >= 0 with a NaN u_0 in one row."""
+    chi = (build_mollified_heaviside(0.3) if shared
+           else (build_mollified_heaviside(0.2), build_mollified_heaviside(0.4)))
+    f = MLPReaction.from_seed((2, 8, 2), seed=6, scale=1.5) if base == "mlp" else cross_term()
+    g = wrap(f, chi, lipschitz=1.0)
+    rng = np.random.default_rng(12)
+    u = rng.uniform(0.0, 0.6, (2000, 2))
+    fu = f.eval(u)
+    batches = {"mixed": u[:400], "nonnegative": u[(fu >= 0.0).all(axis=1)][:50],
+               "f_1 nonnegative": u[fu[:, 1] >= 0.0][:80]}
+    assert 0.0 < (f.eval(batches["f_1 nonnegative"])[:, 0] < 0.0).mean() < 1.0
+    assert len(batches["nonnegative"]) == 50
+    with_nan = batches["nonnegative"].copy()
+    with_nan[7, 0] = np.nan
+    batches["nonnegative with NaN"] = with_nan
+
+    def results(v):
+        n = len(v)
+        cot, cot_val = rng.normal(size=v.shape), rng.normal(size=v.shape)
+        cot_jac = rng.normal(size=(n, 2, 2))
+        out = {"eval": g.eval(v), "point": g.eval(v[7]), "jacobian": g.jacobian(v)}
+        if base == "mlp":
+            tape = g.forward(v)
+            out["forward"], out["forward_f"] = tape.value, tape.f
+            out["value_vjp"] = np.concatenate(g.value_vjp(v, cot, tape), axis=None)
+            out["value_vjp_untaped"] = np.concatenate(g.value_vjp(v, cot), axis=None)
+            out["jac_vjp"] = g.jac_vjp(v, cot_jac, cot_val)
+        return out
+
+    for label, v in batches.items():
+        state = rng.bit_generator.state
+        got = results(v)
+        rng.bit_generator.state = state
+        with monkeypatch.context() as m:
+            m.setattr(ConsistentReaction, "cutoffs", every_cutoff)
+            ref = results(v)
+        for name in ("eval", "point", "forward", "forward_f"):
+            if name in ref:
+                assert got[name].tobytes() == ref[name].tobytes(), (label, name)
+        for name in ("jacobian", "value_vjp", "value_vjp_untaped", "jac_vjp"):
+            if name in ref:
+                assert np.array_equal(got[name], ref[name], equal_nan=True), (label, name)
+    # a NaN u_0 gives a NaN fbar_0, also where f_0 >= 0
+    assert np.isnan(g.eval(with_nan)[7, 0])
+    if base == "analytic":
+        assert f.eval(with_nan)[7, 0] >= 0.0
+
+
+def test_a_batch_with_no_negative_value_reads_no_cutoff(monkeypatch):
+    """Where f >= 0 the lift reads no cutoff, so none is evaluated: a batch
+    with no negative entry makes no `TransitionFunction.evaluate` call. A
+    shared cutoff with one negative component is read on the whole batch,
+    in one call; per-species cutoffs read only that component's column."""
+    widths = (2, 8, 2)
+    theta = np.zeros(MLPReaction.parameter_count(widths))
+    theta[-2:] = 0.5  # the output bias: f = (0.5, 0.5) everywhere
+    chi = build_mollified_heaviside(0.3)
+    u = np.random.default_rng(2).uniform(0.0, 0.6, (300, 2))  # half in the ramp
+    calls = []
+    evaluate = TransitionFunction.evaluate
+
+    def counting(self, x):
+        calls.append(np.size(x))
+        return evaluate(self, x)
+
+    monkeypatch.setattr(TransitionFunction, "evaluate", counting)
+    g = wrap(MLPReaction(widths, theta), chi)
+    g.eval(u)
+    tape = g.forward(u)
+    g.value_vjp(u, np.ones_like(u), tape)
+    g.jacobian(u)
+    g.jac_vjp(u, np.ones((300, 2, 2)))
+    wrap(make_reaction("fisher-kpp"), chi, lipschitz=5.0).eval(u[:, :1])
+    assert calls == []
+
+    theta[-2] = -0.5  # f_0 < 0 everywhere, f_1 > 0
+    values = wrap(MLPReaction(widths, theta), chi).eval(u)
+    assert calls == [600]
+    per_species = wrap(MLPReaction(widths, theta), (chi, build_mollified_heaviside(0.2)))
+    assert per_species.eval(u).tobytes() == values.tobytes()
+    assert calls == [600, 300]
+    np.testing.assert_array_equal(values[:, 0], -0.5 + 0.5 * evaluate(chi, u[:, 0]))
+    np.testing.assert_array_equal(values[:, 1], 0.5)
 
 
 def test_weight_validation():

@@ -328,6 +328,14 @@ def test_solver_input_validation():
         solve(None, DiffusionSpec.uniform(1.0, 1), u0, g, c=np.array([-1.0]))
     with pytest.raises(ValueError, match="expected"):
         solve(None, DiffusionSpec.uniform(1.0, 1), np.ones((2, 5)), g)
+    # a non-finite u0 is named up front, with a wrapped term or without one
+    wrapped = wrap(make_reaction("fisher-kpp"), build_mollified_heaviside(0.2))
+    for bad in (np.nan, np.inf):
+        u_bad = u0.copy()
+        u_bad[0, 3] = bad
+        for f in (None, wrapped):
+            with pytest.raises(ValueError, match="u0 must be finite"):
+                solve(f, DiffusionSpec.uniform(1.0, 1), u_bad, g)
 
 
 def test_dirichlet_holds_boundary_values():

@@ -121,6 +121,67 @@ def test_non_finite_input_is_not_hidden_by_the_plateaus():
     assert slope[1:].view(np.uint64).tolist() == np.zeros(4).view(np.uint64).tolist()
 
 
+def masked_integral_of(kernel, x):
+    """E(x) as the table was read before the clipped path: the plateaus
+    and NaN filled by masks, the table read only strictly inside (-1, 1)."""
+    x = np.asarray(x, dtype=float)
+    out = np.full_like(x, np.nan)
+    out[x <= -1.0] = 0.0
+    out[x >= 1.0] = 1.0
+    inside = (x > -1.0) & (x < 1.0)
+    if np.any(inside):
+        t = (x[inside] + 1.0) * (kernel.coef.shape[0] / 2)
+        k = np.minimum(t.astype(np.intp), kernel.coef.shape[0] - 1)
+        s = t - k
+        c0, c1, c2, c3 = kernel.coef.take(k, axis=0).T
+        out[inside] = ((c3 * s + c2) * s + c1) * s + c0
+    return out
+
+
+def masked_evaluate(chi, x):
+    """chi(x) with exact plateaus set by masks and only the ramp read."""
+    x = np.asarray(x, dtype=float)
+    below = x < chi.eps + chi.delta
+    above = x > chi.eps - chi.delta
+    ramp = above & below
+    out = below.astype(float)
+    out[~(above | below)] = np.nan
+    out[ramp] = 1.0 - masked_integral_of(chi.kernel, (x[ramp] - chi.eps) / chi.delta)
+    return out
+
+
+@pytest.mark.parametrize("eps", [1.0, 2.0 ** -0.5, 3.0 ** -0.5, 0.3, 0.25])
+def test_clipped_cutoff_path_is_the_masked_one_bitwise(eps):
+    """The one clipped table path gives the bits of plateau masks and a
+    ramp-only table read: on a dense ramp grid, at both ramp ends and their
+    float neighbours, at +-inf, NaN and +-0.0, and on 2D batches."""
+    chi = build_mollified_heaviside(eps)
+    lo, hi = chi.eps - chi.delta, chi.eps + chi.delta
+    ends = np.array([lo, hi, -1.0, 1.0])
+    x = np.concatenate([
+        np.linspace(lo - 0.1 * eps, hi + 0.1 * eps, 200_001),
+        ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
+        [np.inf, -np.inf, np.nan, 0.0, -0.0],
+    ])
+    assert chi(x).tobytes() == masked_evaluate(chi, x).tobytes()
+    batch = x[: 2 * (x.size // 2)].reshape(-1, 2)
+    # row-major, column-major and strided, as the solver's transposed state
+    for b in (batch, np.asfortranarray(batch), batch[::3], batch.T.copy().T[::2]):
+        assert chi(b).shape == b.shape
+        assert chi(b).tobytes() == masked_evaluate(chi, b).tobytes()
+    arg = (x - chi.eps) / chi.delta
+    assert chi.kernel.integral_of(arg).tobytes() == masked_integral_of(chi.kernel, arg).tobytes()
+    assert chi(lo) == 1.0 and chi(hi) == 0.0 and np.isnan(chi(np.nan))
+
+
+def test_table_end_panels_are_exact_plateaus():
+    """The plateaus go through the table, so its first panel must be the
+    cubic 0 and its last the cubic 1, with no slope or curvature."""
+    coef = default_kernel().coef
+    assert coef[0].tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert coef[-1].tolist() == [1.0, 0.0, 0.0, 0.0]
+
+
 def test_derivative_matches_central_differences():
     from scipy.stats import qmc
 
