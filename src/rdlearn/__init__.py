@@ -19,7 +19,6 @@ from rdlearn.learn import (
     LevelResult,
     LevelSchedule,
     MeasurementOperator,
-    OptimizationDiverged,
     SweepRow,
     generate_measurements,
     identification_sweep,
@@ -78,7 +77,6 @@ __all__ = [
     "MLPReaction",
     "MeasurementOperator",
     "MollifierKernel",
-    "OptimizationDiverged",
     "ReactionTerm",
     "SpaceTimeGrid",
     "StabilityError",

@@ -86,26 +86,26 @@ def halton_box(n: int, lo, hi, seed: int = 0) -> np.ndarray:
     return lo + pts * (hi - lo)
 
 
-def sup_sample(lo, hi, points_per_dim: int = 10_000, seed: int = 0) -> np.ndarray:
+def sup_sample(lo, hi, seed: int = 0) -> np.ndarray:
     """Dense deterministic sample of a box for sup-norm estimation.
 
-    Uses points_per_dim * dim quasi-random points plus the box corners, so
+    Uses 10000 * dim quasi-random points plus the box corners, so
     extremes attained on the boundary are not missed entirely.
     """
     lo, hi = as_box(lo, hi)
     dim = lo.size
-    pts = halton_box(points_per_dim * dim, lo, hi, seed=seed)
+    pts = halton_box(10_000 * dim, lo, hi, seed=seed)
     corners = np.stack(np.meshgrid(*[(l, h) for l, h in zip(lo, hi)], indexing="ij"), axis=-1)
     return np.vstack([pts, corners.reshape(-1, dim)])
 
 
-def box_quadrature(lo, hi, nodes_per_dim: int = 129, seed: int = 0,
-                   mc_points: int = 32_768) -> tuple[np.ndarray, np.ndarray]:
+def box_quadrature(lo, hi, nodes_per_dim: int = 129,
+                   seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature points and weights for integration over a box.
 
-    Tensor-product trapezoid up to dimension 2; quasi-Monte-Carlo with equal
-    weights above that. Returns (points (P, dim), weights (P,)) with
-    sum(weights) equal to the box volume.
+    Tensor-product trapezoid up to dimension 2; quasi-Monte-Carlo with
+    32768 equal weights above that. Returns (points (P, dim), weights
+    (P,)) with sum(weights) equal to the box volume.
     """
     lo, hi = as_box(lo, hi)
     dim = lo.size
@@ -122,5 +122,5 @@ def box_quadrature(lo, hi, nodes_per_dim: int = 129, seed: int = 0,
             weight = np.multiply.outer(weight, w)
         return pts, weight.ravel()
     vol = float(np.prod(hi - lo))
-    pts = halton_box(mc_points, lo, hi, seed=seed)
-    return pts, np.full(mc_points, vol / mc_points)
+    pts = halton_box(32_768, lo, hi, seed=seed)
+    return pts, np.full(len(pts), vol / len(pts))

@@ -7,7 +7,7 @@ a manifest of content hashes. Reruns with the same config and seed are
 byte-identical; there is nothing interactive here.
 
 Exit codes: 0 on success, 2 for configuration problems, 1 for runtime
-failures (instability, blow-up, divergence).
+failures (instability, blow-up).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from rdlearn._sampling import as_weights
 from rdlearn.consistency import WrapperSchedule, rate_preservation_study, wrap
-from rdlearn.learn import MeasurementOperator, identification_sweep, make_schedule
+from rdlearn.learn import MeasurementOperator, check_levels, identification_sweep, make_schedule
 from rdlearn.quasipos import BoundaryLayer, BoundaryMeasure, nonlinear_volume_report, sample_members
 from rdlearn.rdsolve import DiffusionSpec, SpaceTimeGrid, manufactured_convergence, solve
 from rdlearn.reaction import AnalyticReaction, MLPReaction, make_reaction, save_params
@@ -487,8 +487,12 @@ def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) 
     if u0s.shape[1] != n:
         raise ConfigError(f"each trajectory in domain.initials needs {n} profiles")
 
-    levels_text = args.levels or cfg.get("schedule", "levels", "1,2,3")
-    levels = _parse_levels(levels_text)
+    levels_key = "--levels" if args.levels else "schedule.levels"
+    try:
+        levels = check_levels(
+            _parse_levels(args.levels or cfg.get("schedule", "levels", "1,2,3")))
+    except ValueError as exc:
+        raise ConfigError(f"{levels_key}: {exc}") from exc
     rule_name = cfg.get("noise", "delta_rule", "pow2")
     if rule_name == "pow2":
         delta_rule = lambda m: 2.0 ** -m

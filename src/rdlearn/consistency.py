@@ -142,11 +142,9 @@ class ConsistentReaction(ReactionTerm):
     all components or a sequence of one per component.
     """
 
-    def __init__(self, base: ReactionTerm, chi, c=None, lipschitz=None,
-                 lipschitz_label=None):
+    def __init__(self, base: ReactionTerm, chi, c=None, lipschitz=None):
         self.base = base
         self.n_species = base.n_species
-        self.variant = base.variant
         if isinstance(chi, TransitionFunction):
             self.chi_list = (chi,) * self.n_species
         else:
@@ -157,8 +155,7 @@ class ConsistentReaction(ReactionTerm):
                     f"got {len(self.chi_list)}"
                 )
         self.c = as_weights(c, self.n_species)
-        self._given_lip = (None if lipschitz is None
-                           else (float(lipschitz), lipschitz_label or "sampled"))
+        self._given_lip = None if lipschitz is None else (float(lipschitz), "sampled")
 
     @cached_property
     def _lip(self) -> tuple:
@@ -379,7 +376,6 @@ def _sup_error(a: ReactionTerm, b: ReactionTerm, points) -> float:
 
 def rate_preservation_study(f_target: ReactionTerm, approx_family,
                             sched: WrapperSchedule, lo, hi, levels,
-                            points_per_dim: int = 10_000,
                             seed: int = 0) -> RateStudy:
     """Sup errors of raw vs wrapped approximants across levels.
 
@@ -392,7 +388,7 @@ def rate_preservation_study(f_target: ReactionTerm, approx_family,
     if len(levels) < 3:
         raise ValueError(f"need at least 3 levels for a rate fit, got {len(levels)}")
     lo, hi = as_box(lo, hi, f_target.n_species)
-    points = sup_sample(lo, hi, points_per_dim, seed=seed)
+    points = sup_sample(lo, hi, seed=seed)
     eps = np.array([sched.eps(m) for m in levels])
     raw = np.empty(len(levels))
     wrapped = np.empty(len(levels))
@@ -410,8 +406,7 @@ def rate_preservation_study(f_target: ReactionTerm, approx_family,
 
 
 def strict_rate_estimate(f: ReactionTerm, lo, hi, component: int,
-                         eps_list, samples: int = 10_000,
-                         seed: int = 0) -> float:
+                         eps_list, seed: int = 0) -> float:
     """Fitted strict-quasipositivity rate alpha of one component.
 
     For each eps, samples the layer {u in box : |u_n| <= eps} densely and
@@ -437,12 +432,10 @@ def strict_rate_estimate(f: ReactionTerm, lo, hi, component: int,
         if not clo[n] < chi_[n]:
             sups.append(0.0)
             continue
-        pts = sup_sample(clo, chi_, samples, seed=seed)
+        pts = sup_sample(clo, chi_, seed=seed)
         sups.append(float(np.max(-np.minimum(f.eval(pts)[:, n], 0.0))))
     sups = np.array(sups)
     keep = sups > 1e-14
-    if not np.any(keep):
-        return math.inf
     if np.count_nonzero(keep) < 2:
         return math.inf
     return float(np.polyfit(np.log(np.array(eps_list)[keep]), np.log(sups[keep]), 1)[0])

@@ -242,9 +242,7 @@ class ApproximationStudy:
 
 def approximation_experiment(f_target, approx_family, eps_seq, delta_seq,
                              layer: BoundaryLayer, norm: str = "sup",
-                             p: float = 2.0, grid_per_axis: int = 200,
-                             boundary_samples: int = 2_000,
-                             seed: int = 0) -> ApproximationStudy:
+                             p: float = 2.0, seed: int = 0) -> ApproximationStudy:
     """Errors of raw vs modified approximants under shrinking schedules.
 
     approx_family maps the level m = 1, 2, ... to a scalar field on the
@@ -252,9 +250,9 @@ def approximation_experiment(f_target, approx_family, eps_seq, delta_seq,
     with delta < eps at every level; the modified approximant of level m
     uses (eps_m, delta_m). Errors against f_target are measured in the sup
     norm over a dense sample or in the L^p norm by tensor-grid quadrature
-    (quasi-Monte-Carlo above dimension 2). The minimum of each modified
-    approximant over sampled face points is recorded; it is nonnegative by
-    construction, with no tolerance.
+    with 200 nodes per axis (quasi-Monte-Carlo above dimension 2). The
+    minimum of each modified approximant over 2000 sampled points per face
+    is recorded; it is nonnegative by construction, with no tolerance.
     """
     eps_seq = [float(e) for e in eps_seq]
     delta_seq = [float(d) for d in delta_seq]
@@ -280,7 +278,7 @@ def approximation_experiment(f_target, approx_family, eps_seq, delta_seq,
         pts = sup_sample(lo, hi, seed=seed)
         wts = None
     else:
-        pts, wts = box_quadrature(lo, hi, nodes_per_dim=grid_per_axis, seed=seed)
+        pts, wts = box_quadrature(lo, hi, nodes_per_dim=200, seed=seed)
     target_vals = np.asarray(f_target(pts), dtype=float).reshape(pts.shape[0])
 
     def err(vals):
@@ -293,7 +291,7 @@ def approximation_experiment(f_target, approx_family, eps_seq, delta_seq,
              else list(range(layer.dim)))
     face_pts = []
     for n in faces:
-        q = halton_box(boundary_samples, lo, hi, seed=seed + 7 + n)
+        q = halton_box(2_000, lo, hi, seed=seed + 7 + n)
         q[:, n] = 0.0
         face_pts.append(q)
     face_pts = np.vstack(face_pts)

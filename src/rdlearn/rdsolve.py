@@ -1,12 +1,13 @@
 """Forward simulation of reaction-diffusion systems on 1D/2D grids.
 
 Time stepping is IMEX: diffusion is treated implicitly (second-order
-central differences, Neumann boundary by mirror ghost nodes; dimensional
-splitting in 2D), the reaction explicitly. Each species' tridiagonal
-matrix I - r * Laplacian is LU-factored once per solve and axis, so a step
-runs only the two triangular solves of each factorization. The implicit
-part removes the diffusion time-step limit; the explicit part keeps the
-reaction's possible kinks out of the linear solves but requires the guard
+central differences, dimensional splitting in 2D), the reaction
+explicitly. The boundary is zero-flux Neumann, by mirror ghost nodes, and
+there is no other. Each species' tridiagonal matrix I - r * Laplacian is
+LU-factored once per solve and axis, so a step runs only the two
+triangular solves of each factorization. The implicit part removes the
+diffusion time-step limit; the explicit part keeps the reaction's
+possible kinks out of the linear solves but requires the guard
 dt * L <= 1/2 on the reaction's Lipschitz constant.
 
 The mirror-ghost Laplacian L is defined once (`mirror_bands`); the
@@ -25,6 +26,8 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from rdlearn._sampling import as_weights, trapezoid_weights
+
+D_MIN = 1e-6  # the positive floor of every diffusion coefficient
 
 
 class StabilityError(ValueError):
@@ -125,23 +128,20 @@ class SpaceTimeGrid:
 
 @dataclass(frozen=True)
 class DiffusionSpec:
-    """Per-species diffusion coefficients with a positive floor."""
+    """Per-species diffusion coefficients, none below the floor D_MIN."""
 
     d: tuple
-    d_min: float = 1e-6
 
     def __post_init__(self):
         object.__setattr__(self, "d", _as_tuple(self.d, float))
-        if not self.d_min > 0:
-            raise ValueError(f"d_min must be positive, got {self.d_min}")
-        if any(v < self.d_min for v in self.d):
+        if any(v < D_MIN for v in self.d):
             raise ValueError(
-                f"diffusion coefficients {self.d} must lie above the floor {self.d_min}"
+                f"diffusion coefficients {self.d} must lie above the floor {D_MIN}"
             )
 
     @classmethod
-    def uniform(cls, value: float, n_species: int, d_min: float = 1e-6) -> "DiffusionSpec":
-        return cls((float(value),) * n_species, d_min)
+    def uniform(cls, value: float, n_species: int) -> "DiffusionSpec":
+        return cls((float(value),) * n_species)
 
     @property
     def n_species(self) -> int:
@@ -218,20 +218,17 @@ def mirror_laplacian_transpose(w: np.ndarray, h: float) -> np.ndarray:
     return out / h ** 2
 
 
-def heat_bands(m: int, r: float, dirichlet: bool) -> np.ndarray:
-    """Bands of I - r L in the layout of `mirror_bands`; with `dirichlet`
-    the first and last rows are identity rows, which hold the boundary."""
+def heat_bands(m: int, r: float) -> np.ndarray:
+    """Bands of I - r L in the layout of `mirror_bands`."""
     bands = -r * mirror_bands(m)
     bands[1] += 1.0
-    if dirichlet:
-        bands[:, [0, -1]] = [[0.0], [1.0], [0.0]]
     return bands
 
 
-def _factor_heat_matrix(m: int, r: float, dirichlet: bool) -> tuple:
-    """LU factors of `heat_bands(m, r, dirichlet)`, the arguments `dgttrs`
-    takes before the right-hand side."""
-    sub, diag, sup = heat_bands(m, r, dirichlet)
+def _factor_heat_matrix(m: int, r: float) -> tuple:
+    """LU factors of `heat_bands(m, r)`, the arguments `dgttrs` takes
+    before the right-hand side."""
+    sub, diag, sup = heat_bands(m, r)
     *factors, info = dgttrf(sub[1:], diag, sup[:-1])
     if info != 0:
         raise np.linalg.LinAlgError(
@@ -272,15 +269,14 @@ def _box_lipschitz(f, u: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 
 
 def solve(f, D: DiffusionSpec, u0, grid: SpaceTimeGrid, c=None,
-          source=None, boundary: str = "neumann",
-          lipschitz: float | None = None) -> StateField:
+          source=None, lipschitz: float | None = None) -> StateField:
     """March the IMEX scheme and return the full trajectory.
 
     f may be None for pure diffusion; otherwise any reaction term
     (wrapped or not) evaluated explicitly at the current state. source, if
     given, is a callable t -> array broadcastable to the state shape,
-    added explicitly. boundary is "neumann" (zero flux, mirror ghosts) or
-    "dirichlet" (boundary nodes held at their initial values).
+    added explicitly. The boundary is zero-flux Neumann (mirror ghosts),
+    the only one: it is what makes w^T L = 0, and so mass conservation.
 
     Raises StabilityError when dt times the reaction's Lipschitz bound
     exceeds 1/2 (pass `lipschitz` to override the bound used) and
@@ -288,8 +284,6 @@ def solve(f, D: DiffusionSpec, u0, grid: SpaceTimeGrid, c=None,
     around u0 is certified again around any state that leaves the box.
     u0 must be finite and componentwise nonnegative.
     """
-    if boundary not in ("neumann", "dirichlet"):
-        raise ValueError(f"boundary must be 'neumann' or 'dirichlet', got {boundary!r}")
     n, u0 = _infer_species(f, u0, grid)
     if not np.isfinite(u0).all():
         raise ValueError("u0 must be finite")
@@ -308,11 +302,10 @@ def solve(f, D: DiffusionSpec, u0, grid: SpaceTimeGrid, c=None,
         grid.check_reaction_guard(float(L))
 
     dt = grid.dt
-    dirichlet = boundary == "dirichlet"
     h = grid.h
     # one factorization per species and axis, reused at every step
     factors = [
-        [_factor_heat_matrix(grid.nodes[ax], dt * dn / h[ax] ** 2, dirichlet)
+        [_factor_heat_matrix(grid.nodes[ax], dt * dn / h[ax] ** 2)
          for ax in range(grid.ndim)]
         for dn in D.as_array()
     ]
@@ -338,8 +331,6 @@ def solve(f, D: DiffusionSpec, u0, grid: SpaceTimeGrid, c=None,
                 new += dt * f.eval(flat).T.reshape(u.shape)
             if source is not None:
                 new += dt * np.broadcast_to(source(times[k]), u.shape)
-            if dirichlet:
-                _hold_boundary(new, u0, grid.ndim)
             for i in range(n):
                 if grid.ndim == 1:
                     # a contiguous row of traj: solved in place
@@ -347,8 +338,6 @@ def solve(f, D: DiffusionSpec, u0, grid: SpaceTimeGrid, c=None,
                 else:
                     half = dgttrs(*factors[i][0], new[i])[0]
                     new[i] = dgttrs(*factors[i][1], half.T)[0].T
-            if dirichlet:
-                _hold_boundary(new, u0, grid.ndim)
             state = new.reshape(n, -1)
             # NaN fails both comparisons and inf lies outside every box
             if not ((state >= lo) & (state <= hi)).all():
@@ -364,17 +353,6 @@ def solve(f, D: DiffusionSpec, u0, grid: SpaceTimeGrid, c=None,
             species_mass[:, k + 1] = (state * w).sum(axis=1)
             u = new
     return StateField(traj, grid, c, species_mass)
-
-
-def _hold_boundary(rhs: np.ndarray, u0: np.ndarray, ndim: int) -> None:
-    if ndim == 1:
-        rhs[:, 0] = u0[:, 0]
-        rhs[:, -1] = u0[:, -1]
-    else:
-        rhs[:, 0, :] = u0[:, 0, :]
-        rhs[:, -1, :] = u0[:, -1, :]
-        rhs[:, :, 0] = u0[:, :, 0]
-        rhs[:, :, -1] = u0[:, :, -1]
 
 
 @dataclass
@@ -413,25 +391,23 @@ def mass_audit(traj: StateField, c=None, K0: float = 0.0, K1: float = 0.0,
 
 
 def estimate_mass_tolerance(f, D: DiffusionSpec, u0_builder, grid: SpaceTimeGrid,
-                            c=None, K0: float = 0.0, K1: float = 0.0,
-                            safety: float = 4.0, floor: float = 1e-10,
-                            **solve_kw) -> float:
+                            c=None, K0: float = 0.0, K1: float = 0.0) -> float:
     """Discretization slack C * (h^2 + dt) for mass audits, from refinement.
 
     Solves the same problem on `grid` and on a space-and-time-refined
     copy, attributes the change in worst margin to the leading error model
-    C * (h^2 + dt), and returns safety * C * (h^2 + dt) for the coarse
-    grid (at least `floor`). u0_builder maps a grid to its initial state.
+    C * (h^2 + dt), and returns 4 C (h^2 + dt) for the coarse grid (at
+    least 1e-10). u0_builder maps a grid to its initial state.
     """
     fine = grid.refined()
     worst = []
     scales = []
     for g in (grid, fine):
-        t = solve(f, D, u0_builder(g), g, c=c, **solve_kw)
+        t = solve(f, D, u0_builder(g), g, c=c)
         worst.append(mass_audit(t, c=c, K0=K0, K1=K1).worst)
         scales.append(max(g.h) ** 2 + g.dt)
     C = abs(worst[0] - worst[1]) / (scales[0] - scales[1])
-    return max(safety * C * scales[0], floor)
+    return max(4.0 * C * scales[0], 1e-10)
 
 
 @dataclass
@@ -454,17 +430,15 @@ class ConvergenceStudy:
 
 
 def manufactured_convergence(diffusion: float = 0.7, extent: float = 1.0,
-                             horizon: float = 0.5, base_nodes: int = 9,
-                             refinements: int = 4,
-                             temporal_nodes: int = 257,
-                             temporal_base_steps: int = 4) -> ConvergenceStudy:
+                             horizon: float = 0.5) -> ConvergenceStudy:
     """Convergence orders of the scheme against u*(t,x) = e^-t (1 + cos(pi x / Lx)).
 
     The manufactured solution has zero flux at both ends, so it lives in
     the scheme's boundary conditions; the matching source term is fed
-    through the solver's explicit source hook. Spatial refinements scale
-    dt ~ h^2 so both error terms shrink at second order; the temporal
-    study fixes a fine grid and halves dt.
+    through the solver's explicit source hook. Four spatial refinements
+    from 9 nodes scale dt ~ h^2 so both error terms shrink at second
+    order; the temporal study fixes a grid of 257 nodes and halves dt four
+    times from 4 steps.
     """
     Lx = float(extent)
 
@@ -484,8 +458,8 @@ def manufactured_convergence(diffusion: float = 0.7, extent: float = 1.0,
     D = DiffusionSpec.uniform(diffusion, 1)
 
     spatial_h, spatial_err = [], []
-    for level in range(refinements):
-        nodes = (base_nodes - 1) * 2 ** level + 1
+    for level in range(4):
+        nodes = 8 * 2 ** level + 1
         steps = max(4, int(round(horizon * (nodes - 1) ** 2 / Lx ** 2)))
         grid = SpaceTimeGrid(Lx, nodes, horizon, steps)
         x = grid.axis(0)
@@ -496,9 +470,9 @@ def manufactured_convergence(diffusion: float = 0.7, extent: float = 1.0,
     spatial_order = float(np.polyfit(np.log(spatial_h), np.log(spatial_err), 1)[0])
 
     temporal_dt, temporal_err = [], []
-    for level in range(refinements):
-        steps = temporal_base_steps * 2 ** level
-        grid = SpaceTimeGrid(Lx, temporal_nodes, horizon, steps)
+    for level in range(4):
+        steps = 4 * 2 ** level
+        grid = SpaceTimeGrid(Lx, 257, horizon, steps)
         x = grid.axis(0)
         traj = solve(None, D, exact(0.0, x)[None], grid, source=source_for(grid))
         err = np.max(np.abs(traj.final()[0] - exact(horizon, x)))

@@ -71,13 +71,11 @@ def _times_product(out, W, a):
 class ReactionTerm:
     """Base type: species count, evaluation rule, optional Jacobian rule.
 
-    Subclasses set `variant` to "analytic" or "parameterized". `eval` and
-    `jacobian` accept a single point (N,) or a batch (S, N) and return
-    matching shapes ((N,)/(S, N) and (N, N)/(S, N, N)).
+    `eval` and `jacobian` accept a single point (N,) or a batch (S, N)
+    and return matching shapes ((N,)/(S, N) and (N, N)/(S, N, N)).
     """
 
     n_species: int
-    variant: str = "analytic"
 
     def eval(self, u):
         raise NotImplementedError
@@ -119,8 +117,6 @@ class ReactionTerm:
 class AnalyticReaction(ReactionTerm):
     """Catalog entry with closed-form value and Jacobian rules."""
 
-    variant = "analytic"
-
     def __init__(self, name, n_species, fn, jac=None):
         self.name = name
         self.n_species = n_species
@@ -156,7 +152,7 @@ def _fisher_kpp():
 def _lotka_volterra():
     def fn(u):
         u1, u2 = u[:, 0], u[:, 1]
-        return np.stack([u1 * (1.0 - u2), u2 * (u1 - 1.0)], axis=1)
+        return np.stack([u1 * (1.0 - u2), u2 * (u1 - 1.0)]).T
 
     def jac(u):
         u1, u2 = u[:, 0], u[:, 1]
@@ -174,7 +170,7 @@ def _gray_scott(feed=0.04, kill=0.06):
     def fn(u):
         a, s = u[:, 0], u[:, 1]
         r = a * s * s
-        return np.stack([-r + feed * (1.0 - a), r - (feed + kill) * s], axis=1)
+        return np.stack([-r + feed * (1.0 - a), r - (feed + kill) * s]).T
 
     def jac(u):
         a, s = u[:, 0], u[:, 1]
@@ -226,8 +222,6 @@ class MLPReaction(ReactionTerm):
     level : int, optional
         Level index m when the instance belongs to a level-indexed family.
     """
-
-    variant = "parameterized"
 
     def __init__(self, widths, theta, level=None):
         widths = tuple(int(w) for w in widths)
@@ -482,7 +476,6 @@ class ConditionReport:
     lipschitz_estimate: float
     lipschitz_certified: float | None
     quasipos_violations: list = field(default_factory=list)
-    mass_weights: np.ndarray | None = None
     mass_K0: float | None = None
     mass_K1: float | None = None
     mass_margin: float | None = None
@@ -607,7 +600,6 @@ def check_conditions(f: ReactionTerm, lo, hi, samples: int = 10_000,
         lipschitz_estimate=L_est,
         lipschitz_certified=L_cert,
         quasipos_violations=violations,
-        mass_weights=c,
         mass_K0=K0,
         mass_K1=K1,
         mass_margin=mass_margin,

@@ -172,16 +172,14 @@ class TransitionFunction:
         return 1.0 - self.kernel.integral_of((np.asarray(x, dtype=float) - self.eps) / self.delta)
 
     def derivative(self, x) -> np.ndarray:
-        """chi'(x) = -eta((x - eps)/delta) / delta, exact zero off-ramp; NaN stays NaN."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        ramp = (x > self.eps - self.delta) & (x < self.eps + self.delta)
-        out = np.zeros_like(x)
-        out[np.isnan(x)] = np.nan
-        if np.any(ramp):
-            out[ramp] = -self.kernel((x[ramp] - self.eps) / self.delta) / self.delta
-        return out[0] if scalar else out
+        """chi'(x) = -eta((x - eps)/delta) / delta on the clipped z, with no
+        masks; NaN stays NaN. Every zero is +0.0: the slope is subtracted
+        from 0.0, not negated, since an x at eps + delta may round to a z
+        just inside the ramp, where the bump underflows."""
+        z = np.minimum(np.maximum((np.asarray(x, dtype=float) - self.eps) / self.delta, -1.0), 1.0)
+        with np.errstate(divide="ignore", under="ignore"):
+            slope = self.kernel.c_eta * np.exp(1.0 / (z * z - 1.0)) / self.delta
+        return np.where(np.abs(z) >= 1.0, 0.0, 0.0 - slope)
 
     @property
     def slope_bound(self) -> float:

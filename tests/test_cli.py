@@ -207,10 +207,18 @@ BAD_WEIGHTS_CFG = SIM_CFG.replace("diffusion = 0.05", "diffusion = 0.05\nweights
      "reaction.diffusion must be a number"),
     ("learn", LEARN_CFG.replace("kind = subsample", "kind = spectral"),
      "measurement.kind must be full, subsample or fourier, got 'spectral'"),
-], ids=["diffusion", "weights-simulate", "weights-check", "delta", "diffusion-learn", "kind"])
+    ("learn --levels 2,1", LEARN_CFG, "--levels: levels must be strictly increasing"),
+    ("learn --levels 0..2", LEARN_CFG, "--levels: levels start at 1"),
+    ("learn", LEARN_CFG.replace("levels = 1,2,3", "levels = 2,1"),
+     "schedule.levels: levels must be strictly increasing"),
+    ("learn", LEARN_CFG.replace("levels = 1,2,3", "levels = 0..2"),
+     "schedule.levels: levels start at 1"),
+], ids=["diffusion", "weights-simulate", "weights-check", "delta", "diffusion-learn", "kind",
+        "levels-order-option", "levels-start-option", "levels-order-config",
+        "levels-start-config"])
 def test_inconsistent_values_exit_2_and_name_the_key(command, text, named, tmp_path, capsys):
     cfg = write(tmp_path, text)
-    code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    code = main(command.split() + ["--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 2
     assert named in capsys.readouterr().err
 
@@ -454,8 +462,8 @@ def test_learn_manifest_is_the_same_under_one_and_two_blas_threads(tmp_path):
 
 
 def test_simulate_manifest_is_the_same_under_one_and_two_blas_threads(tmp_path):
-    """A wrapped two-species 1D run: both species share one diffusion
-    coefficient, so each step is one two-column `dgttrs` solve."""
+    """A wrapped two-species 1D run: each step solves each species' row
+    in place with one `dgttrs` call."""
     manifests = manifests_under_one_and_two_blas_threads(
         "simulate", write(tmp_path, TWO_SPECIES_CFG), tmp_path)
     assert "trajectory.csv" in manifests[0]

@@ -23,7 +23,7 @@ from rdlearn.learn import (
     make_schedule,
     solve_level,
 )
-from rdlearn.rdsolve import DiffusionSpec, SpaceTimeGrid, solve
+from rdlearn.rdsolve import D_MIN, DiffusionSpec, SpaceTimeGrid, solve
 from rdlearn.reaction import MLPReaction, make_reaction
 from rdlearn.transition import build_mollified_heaviside
 
@@ -249,13 +249,13 @@ def test_zero_variables_cost_only_diffusion_floor():
     # |D|^2, and the initial iterate puts D at the floor
     op = MeasurementOperator("full")
     prob = small_problem(op, data=np.zeros((1, 1, 9, 9)))
-    x = prob.pack(np.full((1, 1), prob.d_min), np.zeros((1, 1, 9, 9)),
+    x = prob.pack(np.full((1, 1), D_MIN), np.zeros((1, 1, 9, 9)),
                   np.zeros((1, 1, 9)), np.zeros(prob._shapes[3][0]))
     terms = prob.objective_terms(x)
-    assert terms["diffusion_reg"] == prob.d_min ** 2
+    assert terms["diffusion_reg"] == D_MIN ** 2
     nonzero = {k: v for k, v in terms.items() if v != 0.0}
     assert set(nonzero) == {"diffusion_reg"}
-    assert prob.objective(x) == prob.d_min ** 2
+    assert prob.objective(x) == D_MIN ** 2
 
 
 def test_truth_insertion_zeroes_the_data_terms():
@@ -498,7 +498,7 @@ def test_solve_level_history_is_monotone_and_projects_diffusion():
     res = solve_level(prob, step=0.02, max_iters=120, seed=0)
     assert np.all(np.diff(res.history) <= 1e-12)
     assert res.objective < res.history[0]
-    assert np.all(res.D >= prob.d_min)
+    assert np.all(res.D >= D_MIN)
     assert np.linalg.norm(res.theta) <= prob.schedule.psi + 1e-12
     assert res.iterations == len(res.history) - 1
     assert 0.0 <= res.state_containment <= 1.0

@@ -322,8 +322,6 @@ def test_solver_input_validation():
         solve(None, DiffusionSpec.uniform(1.0, 1), -u0, g)
     with pytest.raises(ValueError, match="carries 2 species"):
         solve(None, DiffusionSpec.uniform(1.0, 2), u0, g)
-    with pytest.raises(ValueError, match="boundary"):
-        solve(None, DiffusionSpec.uniform(1.0, 1), u0, g, boundary="periodic")
     with pytest.raises(ValueError, match="positive"):
         solve(None, DiffusionSpec.uniform(1.0, 1), u0, g, c=np.array([-1.0]))
     with pytest.raises(ValueError, match="expected"):
@@ -336,18 +334,6 @@ def test_solver_input_validation():
         for f in (None, wrapped):
             with pytest.raises(ValueError, match="u0 must be finite"):
                 solve(f, DiffusionSpec.uniform(1.0, 1), u_bad, g)
-
-
-def test_dirichlet_holds_boundary_values():
-    g = SpaceTimeGrid(1.0, 41, 0.5, 100)
-    x = g.axis(0)
-    u0 = (0.2 + x * (1 - x))[None]
-    traj = solve(None, DiffusionSpec.uniform(0.4, 1), u0, g, boundary="dirichlet")
-    assert np.all(traj.values[0, :, 0] == 0.2)
-    assert np.all(traj.values[0, :, -1] == 0.2)
-    # discrete maximum principle: interior stays inside the initial range
-    assert traj.values.min() >= 0.2 - 1e-12
-    assert traj.values.max() <= u0.max() + 1e-12
 
 
 # ------------------------------------------------------------ mass audit
@@ -433,26 +419,18 @@ def test_state_field_round_trip():
 # ------------------------------------------------- factored implicit solves
 
 
-def reference_march(f, D, u0, grid, source=None, boundary="neumann"):
+def reference_march(f, D, u0, grid, source=None):
     """The IMEX march with one `solve_banded` call per species, axis and
     step, and a per-species mass sum: values and species masses."""
     n = u0.shape[0]
     dt, h = grid.dt, grid.h
-    dirichlet = boundary == "dirichlet"
 
     def banded(m, r):  # heat_bands in the layout solve_banded takes
-        sub, diag, sup = heat_bands(m, r, dirichlet)
+        sub, diag, sup = heat_bands(m, r)
         return np.array([np.roll(sup, 1), diag, np.roll(sub, -1)])
 
     mats = [[banded(grid.nodes[ax], dt * dn / h[ax] ** 2) for ax in range(grid.ndim)]
             for dn in D.as_array()]
-
-    def hold(v):
-        for ax in range(1, v.ndim):
-            for end in (0, -1):
-                idx = [slice(None)] * v.ndim
-                idx[ax] = end
-                v[tuple(idx)] = u0[tuple(idx)]
 
     w = grid.quadrature_weights()
     traj = np.empty((n, grid.steps + 1) + grid.shape)
@@ -467,8 +445,6 @@ def reference_march(f, D, u0, grid, source=None, boundary="neumann"):
             rhs += dt * f.eval(u.reshape(n, -1).T).T.reshape(u.shape)
         if source is not None:
             rhs = rhs + dt * np.broadcast_to(source(times[k]), u.shape)
-        if dirichlet:
-            hold(rhs)
         new = np.empty_like(u)
         for i in range(n):
             if grid.ndim == 1:
@@ -477,8 +453,6 @@ def reference_march(f, D, u0, grid, source=None, boundary="neumann"):
                 half = solve_banded((1, 1), mats[i][0], rhs[i])
                 new[i] = solve_banded((1, 1), mats[i][1], half.T).T
         u = new
-        if dirichlet:
-            hold(u)
         traj[:, k + 1] = u
         mass[:, k + 1] = [float(np.sum(w * u[i])) for i in range(n)]
     return traj, mass
@@ -486,9 +460,9 @@ def reference_march(f, D, u0, grid, source=None, boundary="neumann"):
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("term", ["diffusion", "wrapped", "source"])
-@pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
-@pytest.mark.parametrize("ndim", [1, 2])
-def test_factored_solve_equals_the_banded_reference_bitwise(ndim, boundary, term, n):
+# the ids name the boundary the march runs under
+@pytest.mark.parametrize("ndim", [1, 2], ids=["1-neumann", "2-neumann"])
+def test_factored_solve_equals_the_banded_reference_bitwise(ndim, term, n):
     """Factoring each matrix once per solve changes no bit of the march."""
     if ndim == 1:
         grid = SpaceTimeGrid(1.3, 37, 0.4, 50)
@@ -507,8 +481,8 @@ def test_factored_solve_equals_the_banded_reference_bitwise(ndim, boundary, term
         def source(t):
             return 0.2 * np.sin(3.0 * t) * np.cos(np.pi * x)
 
-    got = solve(f, D, u0, grid, source=source, boundary=boundary)
-    values, mass = reference_march(f, D, u0, grid, source=source, boundary=boundary)
+    got = solve(f, D, u0, grid, source=source)
+    values, mass = reference_march(f, D, u0, grid, source=source)
     assert got.values.tobytes() == values.tobytes()
     assert got.species_mass.tobytes() == mass.tobytes()
 
@@ -545,15 +519,11 @@ def test_mirror_laplacian_transpose_identity(m):
 
 @pytest.mark.parametrize("m", [3, 8, 41])
 def test_heat_bands_are_identity_minus_r_h2_laplacian(m):
-    """The implicit matrix is I - r h^2 L with the same L; Dirichlet keeps
-    those rows inside and holds both ends with identity rows."""
+    """The implicit matrix is I - r h^2 L with the same L."""
     h, r = 0.13, 0.37
     L = mirror_laplacian(np.eye(m), h).T
-    neumann = dense(heat_bands(m, r, False))
-    np.testing.assert_allclose(neumann, np.eye(m) - r * h ** 2 * L, rtol=0.0, atol=1e-14)
-    held = dense(heat_bands(m, r, True))
-    assert np.array_equal(held[[0, -1]], np.eye(m)[[0, -1]])
-    assert np.array_equal(held[1:-1], neumann[1:-1])
+    np.testing.assert_allclose(dense(heat_bands(m, r)), np.eye(m) - r * h ** 2 * L,
+                               rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("m", [3, 8, 41, 399])

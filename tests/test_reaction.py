@@ -58,6 +58,24 @@ def test_fisher_jacobian_at_half_is_zero():
     assert fk.jacobian(np.array([0.5]))[0, 0] == 0.0
 
 
+ROW_MAJOR_CATALOG = {
+    "lotka-volterra": lambda a, b: np.stack([a * (1.0 - b), b * (a - 1.0)], axis=1),
+    "gray-scott": lambda a, b: np.stack([-(a * b * b) + 0.04 * (1.0 - a),
+                                         a * b * b - (0.04 + 0.06) * b], axis=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_MAJOR_CATALOG))
+def test_catalog_f_is_column_major_on_the_solver_view(name):
+    """On the solver's view u.reshape(n, -1).T of a (species, x, y) state,
+    f comes back column-major like the state, with the row-major values."""
+    u = np.random.default_rng(3).uniform(0.0, 1.5, size=(2, 7, 9))
+    view = u.reshape(2, -1).T
+    f = make_reaction(name).eval(view)
+    assert f.flags.f_contiguous
+    assert f.tobytes(order="C") == ROW_MAJOR_CATALOG[name](*view.T).tobytes()
+
+
 @pytest.mark.parametrize("name", ["fisher-kpp", "lotka-volterra", "gray-scott"])
 def test_catalog_jacobian_matches_finite_differences(name):
     f = make_reaction(name)

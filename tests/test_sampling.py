@@ -3,7 +3,8 @@
 The scrambled Halton sequence is written with numpy alone; scipy's
 qmc.Halton is its oracle here, and only here. Importing the package loads
 scipy only for its LAPACK tridiagonal routines: not scipy.stats, nor
-scipy.interpolate or scipy.integrate.
+scipy.interpolate or scipy.integrate. Every name the package exports
+resolves.
 """
 
 import os
@@ -40,3 +41,9 @@ def test_importing_the_cli_leaves_scipy_module_unloaded(module):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def test_star_import_resolves_every_exported_name():
+    namespace = {}
+    exec("from rdlearn import *", namespace)
+    assert all(name in namespace for name in rdlearn.__all__)

@@ -5,6 +5,8 @@ convolution of the step indicator with the rescaled bump, independent of
 the tabulated antiderivative the implementation interpolates.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,6 +182,35 @@ def test_table_end_panels_are_exact_plateaus():
     coef = default_kernel().coef
     assert coef[0].tolist() == [0.0, 0.0, 0.0, 0.0]
     assert coef[-1].tolist() == [1.0, 0.0, 0.0, 0.0]
+
+
+def masked_derivative(chi, x):
+    """chi' gathered and scattered through a boolean ramp mask: the
+    reference for the clipped path."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    ramp = (x > chi.eps - chi.delta) & (x < chi.eps + chi.delta)
+    out = np.zeros_like(x)
+    out[np.isnan(x)] = np.nan
+    out[ramp] = -chi.kernel((x[ramp] - chi.eps) / chi.delta) / chi.delta
+    return out
+
+
+@pytest.mark.parametrize("eps", [1.0, 2.0 ** -0.5, 3.0 ** -0.5, 0.3, 0.25, 0.2])
+def test_clipped_derivative_equals_the_masked_reference(eps):
+    """Equal values, NaN for NaN, and +0.0 bitwise off the ramp, also at a
+    ramp end whose z rounds inside (eps = 0.3: z(0.45) < 1)."""
+    chi = build_mollified_heaviside(eps)
+    lo, hi = chi.eps - chi.delta, chi.eps + chi.delta
+    ends = [v for e in (lo, hi)
+            for v in (e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf))]
+    x = np.concatenate([np.linspace(-0.5 * eps, 2.5 * eps, 4001), np.linspace(lo, hi, 4001),
+                        ends, [np.inf, -np.inf, np.nan, 0.0, -0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = chi.derivative(x)
+    assert np.array_equal(got, masked_derivative(chi, x), equal_nan=True)
+    off = (x <= lo) | (x >= hi)
+    assert got[off].tobytes() == np.zeros(np.count_nonzero(off)).tobytes()
 
 
 def test_derivative_matches_central_differences():
