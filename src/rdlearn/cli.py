@@ -25,7 +25,8 @@ import numpy as np
 
 from rdlearn._sampling import as_weights
 from rdlearn.consistency import WrapperSchedule, rate_preservation_study, wrap
-from rdlearn.learn import MeasurementOperator, check_levels, identification_sweep, make_schedule
+from rdlearn.learn import (BOX, MAX_ITERS, STEP, SUP_POINTS, MeasurementOperator, check_levels,
+                           identification_sweep, make_schedule)
 from rdlearn.quasipos import BoundaryLayer, BoundaryMeasure, nonlinear_volume_report, sample_members
 from rdlearn.rdsolve import DiffusionSpec, SpaceTimeGrid, manufactured_convergence, solve
 from rdlearn.reaction import AnalyticReaction, MLPReaction, make_reaction, save_params
@@ -262,13 +263,11 @@ def _profile_values(text: str, grid: SpaceTimeGrid) -> np.ndarray:
     raise ConfigError(f"unknown initial profile {name!r} (constant, ramp, cosine)")
 
 
-def _initial_state(cfg: ExperimentConfig, grid: SpaceTimeGrid, n: int) -> np.ndarray:
-    raw = cfg.require("domain", "initial")
-    parts = [p for p in raw.split("|")]
+def _initial_state(text: str, key: str, grid: SpaceTimeGrid, n: int) -> np.ndarray:
+    """One trajectory's initial state (n, *grid.shape) from n '|'-separated profiles."""
+    parts = text.split("|")
     if len(parts) != n:
-        raise ConfigError(
-            f"domain.initial needs {n} '|'-separated profiles, got {len(parts)}"
-        )
+        raise ConfigError(f"{key} needs {n} '|'-separated profiles, got {len(parts)} in {text!r}")
     return np.stack([_profile_values(p, grid) for p in parts])
 
 
@@ -361,7 +360,7 @@ def _cmd_simulate(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespac
     f = _maybe_wrap(cfg, _build_reaction(cfg, n))
     D = _diffusion(cfg, n)
     weights = _weights(cfg, n)
-    u0 = _initial_state(cfg, grid, n)
+    u0 = _initial_state(cfg.require("domain", "initial"), "domain.initial", grid, n)
 
     traj = solve(f, D, u0, grid, c=weights)
 
@@ -475,17 +474,11 @@ def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) 
     widths = tuple(cfg.getints("reaction", "widths", default=[n, 16, n]))
     if widths[0] != n or widths[-1] != n:
         raise ConfigError(f"reaction.widths must start and end with {n}, got {widths}")
-    box = cfg.getfloats("reaction", "box", default=[0.0, 1.2])
+    box = cfg.getfloats("reaction", "box", default=BOX)
     if len(box) != 2 or box[0] >= box[1]:
         raise ConfigError(f"reaction.box must be lo,hi with lo < hi, got {box}")
-
-    raw = cfg.require("domain", "initials")
-    u0s = np.stack([
-        np.stack([_profile_values(p, grid) for p in traj.split("|")])
-        for traj in raw.split(";")
-    ])
-    if u0s.shape[1] != n:
-        raise ConfigError(f"each trajectory in domain.initials needs {n} profiles")
+    u0s = np.stack([_initial_state(traj, "domain.initials", grid, n)
+                    for traj in cfg.require("domain", "initials").split(";")])
 
     levels_key = "--levels" if args.levels else "schedule.levels"
     try:
@@ -500,21 +493,20 @@ def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) 
         delta_rule = lambda m: 4.0 ** -m
     else:
         raise ConfigError(f"noise.delta_rule must be pow2 or pow4, got {rule_name!r}")
+    # each value's own range is checked as it is read, and named by its key;
+    # what make_schedule rejects is a combination of them
+    alpha = cfg.getfloat("schedule", "alpha", minimum=1.0)
+    beta = cfg.getfloat("schedule", "beta", minimum=0.0)
+    gamma = cfg.getfloat("schedule", "gamma", minimum=0.0)
+    q = cfg.getfloat("schedule", "q", default=2.0, minimum=1.0)
+    r = cfg.getfloat("schedule", "r", default=2.0, minimum=1.0)
+    prefactors = {key: cfg.getfloat("schedule", key, default=1.0, minimum=0.0)
+                  for key in ("lam0", "mu0", "nu0")}
     try:
-        scheds = make_schedule(
-            cfg.getfloat("schedule", "alpha", minimum=1.0),
-            cfg.getfloat("schedule", "beta", minimum=0.0),
-            cfg.getfloat("schedule", "gamma", minimum=0.0),
-            levels=levels,
-            q=cfg.getfloat("schedule", "q", default=2.0, minimum=1.0),
-            r=cfg.getfloat("schedule", "r", default=2.0, minimum=1.0),
-            delta_rule=delta_rule,
-            lam0=cfg.getfloat("schedule", "lam0", default=1.0, minimum=0.0),
-            mu0=cfg.getfloat("schedule", "mu0", default=1.0, minimum=0.0),
-            nu0=cfg.getfloat("schedule", "nu0", default=1.0, minimum=0.0),
-        )
+        scheds = make_schedule(alpha, beta, gamma, levels=levels, q=q, r=r,
+                               delta_rule=delta_rule, **prefactors)
     except ValueError as exc:
-        raise ConfigError(f"schedule.gamma: {exc}") from exc
+        raise ConfigError(f"schedule: {exc}") from exc
 
     kind = cfg.get("measurement", "kind", "full")
     if kind == "subsample":
@@ -534,13 +526,12 @@ def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) 
     else:
         raise ConfigError(f"measurement.kind must be full, subsample or fourier, got {kind!r}")
 
-    max_iters = cfg.getint("optimizer", "max_iters", default=8000, minimum=0)
     rows, results = identification_sweep(
         f_true, diffusion, u0s, grid, scheds, ops, widths,
         box_lo=[box[0]] * n, box_hi=[box[1]] * n, seed=args.seed,
-        step=cfg.getfloat("optimizer", "step", default=0.05, minimum=0.0),
-        max_iters=max_iters,
-        sup_points=cfg.getint("optimizer", "sup_points", default=1024, minimum=0),
+        step=cfg.getfloat("optimizer", "step", default=STEP, minimum=0.0),
+        max_iters=cfg.getint("optimizer", "max_iters", default=MAX_ITERS, minimum=0),
+        sup_points=cfg.getint("optimizer", "sup_points", default=SUP_POINTS, minimum=0),
     )
     out.write_csv(
         "results.csv",
@@ -559,7 +550,7 @@ def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) 
         print(f"level {row.m}: sup error {row.sup_error:.4f}, "
               f"objective {row.objective:.4f}, "
               f"state containment {res.state_containment:.3f}, "
-              f"{_stop_reason(res, max_iters)} after {res.iterations} iterations")
+              f"{res.stop_reason} after {res.iterations} iterations")
         chi = build_mollified_heaviside(sched.eps)
         if chi(box[1]) > 0.0:
             print(f"warning: level {row.m}: the cutoff is still positive at the top "
@@ -567,13 +558,6 @@ def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) 
                   f"{chi.eps + chi.delta:g}): it damps the negative part of the "
                   f"learned term on the whole box")
     return 0
-
-
-def _stop_reason(res, max_iters: int) -> str:
-    """Why `solve_level` stopped: converged, at its cap, or a step that underflowed."""
-    if res.converged:
-        return "converged"
-    return "iteration cap" if res.iterations >= max_iters else "step underflow"
 
 
 def _cmd_convergence(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) -> int:

@@ -64,48 +64,29 @@ def lift_partials(f, cut: Cutoffs):
 
 
 class Cutoffs:
-    """chi(u_n) per component of a batch (S, N), and chi'(u_n) on first use.
+    """chi(u_n) for every entry of a batch (S, N), and chi'(u_n) on first use.
 
-    Hold one for a point set that does not change, and its cutoffs are
-    evaluated once. Given the base term's values f, a cutoff is evaluated
-    only for a batch the lift reads: one with an entry f_n < 0, or a NaN
-    u_n. Otherwise its values are exact zeros, which `lift` and
-    `lift_partials` multiply by P_-(f) = 0 or by the indicator f < 0, so
-    the result keeps its bits. When every component shares one cutoff, as
-    `wrap(f, chi)` builds it, the batch goes through one call; with one
-    cutoff per component, each column is a batch of its own. A batch that
-    is read is read whole: gathering its negative entries and scattering
+    Hold one for a point set that does not change, and its cutoff is
+    evaluated once. Given the base term's values f, the cutoff is
+    evaluated only for a batch the lift reads: one with an entry f_n < 0,
+    or a NaN u_n. Otherwise its values and derivatives are exact zeros,
+    which `lift` and `lift_partials` multiply by P_-(f) = 0 or by the
+    indicator f < 0, so the result keeps its bits. A batch that is read is
+    read whole, in one call: gathering its negative entries and scattering
     their cutoffs back costs more than the cutoff on the other entries.
     """
 
-    def __init__(self, chi_list, u: np.ndarray, f: np.ndarray | None = None):
-        self.chi_list, self.u = chi_list, u
-        self.read = None if f is None else (f < 0.0) | np.isnan(u)
-        self.values = self._per_column(lambda chi: chi)
+    def __init__(self, chi: TransitionFunction, u: np.ndarray, f: np.ndarray | None = None):
+        self.chi, self.u = chi, u
+        self.read = f is None or bool((f < 0.0).any()) or bool(np.isnan(u).any())
+        self.values = chi(u) if self.read else np.zeros_like(u)
         self._derivatives = None
 
     @property
     def derivatives(self) -> np.ndarray:
         if self._derivatives is None:
-            self._derivatives = self._per_column(lambda chi: chi.derivative)
+            self._derivatives = self.chi.derivative(self.u) if self.read else np.zeros_like(self.u)
         return self._derivatives
-
-    def _per_column(self, method) -> np.ndarray:
-        """method(chi_n)(u_n) for every component n, as an (S, N) array."""
-        first = self.chi_list[0]
-        if all(chi is first for chi in self.chi_list):
-            return _read(method(first), self.u, self.read)
-        return np.column_stack([
-            _read(method(chi), self.u[:, n], None if self.read is None else self.read[:, n])
-            for n, chi in enumerate(self.chi_list)
-        ])
-
-
-def _read(fn, u: np.ndarray, read: np.ndarray | None) -> np.ndarray:
-    """fn(u), or exact zeros when no entry of u is read."""
-    if read is None or np.count_nonzero(read):
-        return fn(u)
-    return np.zeros_like(u)
 
 
 @dataclass(frozen=True)
@@ -138,22 +119,16 @@ class ConsistencyConstants:
 class ConsistentReaction(ReactionTerm):
     """A reaction term wrapped for physical consistency.
 
-    Use `wrap` to construct. `chi` may be one TransitionFunction shared by
-    all components or a sequence of one per component.
+    Use `wrap` to construct. `chi` is one TransitionFunction, the cutoff
+    of every component.
     """
 
-    def __init__(self, base: ReactionTerm, chi, c=None, lipschitz=None):
+    def __init__(self, base: ReactionTerm, chi: TransitionFunction, c=None, lipschitz=None):
+        if not isinstance(chi, TransitionFunction):
+            raise TypeError(f"chi must be one TransitionFunction, got {type(chi).__name__}")
         self.base = base
         self.n_species = base.n_species
-        if isinstance(chi, TransitionFunction):
-            self.chi_list = (chi,) * self.n_species
-        else:
-            self.chi_list = tuple(chi)
-            if len(self.chi_list) != self.n_species:
-                raise ValueError(
-                    f"need one cutoff per species ({self.n_species}), "
-                    f"got {len(self.chi_list)}"
-                )
+        self.chi = chi
         self.c = as_weights(c, self.n_species)
         self._given_lip = None if lipschitz is None else (float(lipschitz), "sampled")
 
@@ -172,13 +147,7 @@ class ConsistentReaction(ReactionTerm):
         """The cutoffs of a batch (S, N); given the base term's values f,
         only a batch with a negative f_n is read. chi' is evaluated when
         first read."""
-        return Cutoffs(self.chi_list, u, f)
-
-    def chi_values(self, u) -> np.ndarray:
-        """chi(u_n) per component, matching the batch shape of u."""
-        ub, single = _atleast_batch(u, self.n_species)
-        out = self.cutoffs(ub).values
-        return out[0] if single else out
+        return Cutoffs(self.chi, u, f)
 
     def eval(self, u):
         """fbar(u) = f - P_-(f) chi(u_n). The base term runs first, so a
@@ -219,53 +188,41 @@ class ConsistentReaction(ReactionTerm):
         cut = self.cutoffs(ub, f) if cut is None else cut
         return WrappedTape(cut, f, acts, lift(f, cut.values))
 
-    def value_vjp(self, u, cotangent, tape: WrappedTape | None = None):
+    def value_vjp(self, u, cotangent, tape: WrappedTape):
         """(theta_grad, u_grad) of <cotangent, fbar(u)> for an MLP base.
 
-        `tape` is the result of `forward` on the same batch; without it
-        the forward pass runs here.
+        u and the cotangent are batches (S, N), and `tape` is the result of
+        `forward` on u, which this pass replays.
         """
-        self._require_param()
-        ub, _ = _atleast_batch(u, self.n_species)
-        cot, _ = _atleast_batch(cotangent, self.n_species)
-        tape = self.forward(ub) if tape is None else tape
         scale, d_u = lift_partials(tape.f, tape.cut)
-        theta_grad, u_grad = self.base.vjp(ub, cot * scale, (tape.f, tape.acts))
-        return theta_grad, u_grad + cot * d_u
+        theta_grad, u_grad = self.base.vjp(u, cotangent * scale, (tape.f, tape.acts))
+        return theta_grad, u_grad + cotangent * d_u
 
     def jac_vjp(self, u, cot_jac, cot_val=None):
-        """theta-gradient of <cot_jac, grad fbar(u)> + <cot_val, fbar(u)>.
+        """theta-gradient of <cot_jac, grad fbar(u)> + <cot_val, fbar(u)>
+        on a batch u (S, N), with cot_jac (S, N, N) and cot_val (S, N).
 
         The base network's value and Jacobian pass runs once: its f sets
         the lift's partials, and its tape is what `MLPReaction.jac_vjp`
         replays.
         """
         self._require_param()
-        ub, single = _atleast_batch(u, self.n_species)
-        cot_jac = np.asarray(cot_jac, dtype=float)
-        if single:
-            cot_jac = cot_jac[None]
-        state = self.base._value_jac_state(ub)
+        state = self.base._value_jac_state(u)
         f = state[0]
-        cut = self.cutoffs(ub, f)
+        cut = self.cutoffs(u, f)
         scale, _ = lift_partials(f, cut)
         base_cot_jac = scale[:, :, None] * cot_jac
         diag = np.arange(self.n_species)
         base_cot_val = -((f < 0.0) * cut.derivatives * cot_jac[:, diag, diag])
         if cot_val is not None:
-            cv, _ = _atleast_batch(cot_val, self.n_species)
-            base_cot_val = base_cot_val + cv * scale
-        return self.base.jac_vjp(ub, base_cot_jac, base_cot_val, state)
+            base_cot_val = base_cot_val + cot_val * scale
+        return self.base.jac_vjp(u, base_cot_jac, base_cot_val, state)
 
     def _require_param(self):
         if not isinstance(self.base, MLPReaction):
             raise TypeError("reverse-mode helpers need a parameterized base")
 
     # -- derived constants ----------------------------------------------
-
-    @property
-    def sup_chi_slope(self) -> float:
-        return max(chi.slope_bound for chi in self.chi_list)
 
     def consistency_constants(self, c=None) -> ConsistencyConstants:
         c = self.c if c is None else as_weights(c, self.n_species)
@@ -279,7 +236,7 @@ class ConsistentReaction(ReactionTerm):
         if L is None:
             return None
         beta_max = float(np.max(np.abs(self.base.eval(np.zeros(self.n_species)))))
-        return (L * M + beta_max) * self.sup_chi_slope + 2.0 * L
+        return (L * M + beta_max) * self.chi.slope_bound + 2.0 * L
 
     def lipschitz_bound(self, lo=None, hi=None):
         """Local certified bound on a box (via the ball containing it)."""
@@ -290,7 +247,7 @@ class ConsistentReaction(ReactionTerm):
         return self.local_lipschitz(M)
 
     def __repr__(self):
-        return f"ConsistentReaction(base={self.base!r}, chi_list={self.chi_list!r})"
+        return f"ConsistentReaction(base={self.base!r}, chi={self.chi!r})"
 
 
 def wrap(f: ReactionTerm, chi, c=None, lipschitz=None) -> ConsistentReaction:
@@ -303,8 +260,8 @@ def wrap(f: ReactionTerm, chi, c=None, lipschitz=None) -> ConsistentReaction:
         to mean anything. A certified bound is taken from the term when it
         has one (parameterized family); otherwise pass `lipschitz` or the
         constants are flagged unavailable.
-    chi : TransitionFunction or sequence
-        Cutoff, shared or per component.
+    chi : TransitionFunction
+        The cutoff of every component; any other type raises TypeError.
     c : array, optional
         Positive mass-control weights c_n, default all ones.
     lipschitz : float, optional

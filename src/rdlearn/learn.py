@@ -30,12 +30,21 @@ from functools import lru_cache
 
 import numpy as np
 
-from rdlearn._sampling import as_box, as_weights, box_quadrature, halton_box, trapezoid_weights
+from rdlearn._sampling import as_box, box_quadrature, halton_box, trapezoid_weights
 from rdlearn.consistency import ConsistentReaction, WrapperSchedule, wrap
 from rdlearn.rdsolve import (D_MIN, DiffusionSpec, SpaceTimeGrid, StateField, mirror_laplacian,
                               mirror_laplacian_transpose, solve)
 from rdlearn.reaction import MLPReaction
 from rdlearn.transition import build_mollified_heaviside
+
+
+# the defaults of a level sweep, which `rdlearn learn` reads too: the
+# reaction box [lo, hi] of every species, the optimizer's step and
+# iteration cap, and the number of sampled sup points
+BOX = (0.0, 1.2)
+STEP = 0.05
+MAX_ITERS = 8000
+SUP_POINTS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +154,11 @@ def generate_measurements(truth: StateField, operator: MeasurementOperator,
 
 @dataclass(frozen=True)
 class LevelSchedule:
-    """Regularization weights and cutoff width for one level m."""
+    """Regularization weights and cutoff width for one level m.
+
+    The state norm enters the objective squared (exponent p = 2), so the
+    residual exponent q is at most 2.
+    """
 
     m: int
     eps: float
@@ -159,7 +172,6 @@ class LevelSchedule:
     gamma: float
     q: float = 2.0
     r: float = 2.0
-    p: float = 2.0
 
     def __post_init__(self):
         if self.m < 1:
@@ -171,8 +183,8 @@ class LevelSchedule:
             raise ValueError("nu and delta must be nonnegative")
         if not (self.q > 1 and self.r > 1):
             raise ValueError(f"exponents q, r must exceed 1, got q={self.q}, r={self.r}")
-        if self.q > self.p:
-            raise ValueError(f"need q <= p, got q={self.q}, p={self.p}")
+        if self.q > 2.0:
+            raise ValueError(f"need q <= p = 2, got q={self.q}")
 
     @property
     def preserved_rate(self) -> float:
@@ -191,7 +203,7 @@ def check_levels(levels) -> list[int]:
 
 
 def make_schedule(alpha: float, beta: float, gamma: float, levels=(1, 2, 3),
-                  q: float = 2.0, r: float = 2.0, p: float = 2.0,
+                  q: float = 2.0, r: float = 2.0,
                   delta_rule=None, lam0: float = 1.0, mu0: float = 1.0,
                   nu0: float = 1.0) -> list[LevelSchedule]:
     """One admissible weight schedule per level.
@@ -228,7 +240,7 @@ def make_schedule(alpha: float, beta: float, gamma: float, levels=(1, 2, 3),
             mu=mu0 * delta ** (-r / 2.0),
             nu=nu0 * (1.0 / (psi * m)),
             delta=delta, psi=psi,
-            alpha=alpha, beta=beta, gamma=gamma, q=q, r=r, p=p,
+            alpha=alpha, beta=beta, gamma=gamma, q=q, r=r,
         ))
     if len(out) > 1:
         products = {
@@ -273,9 +285,9 @@ class AllAtOnceProblem:
     """
 
     def __init__(self, grid: SpaceTimeGrid, widths, chi, schedule: LevelSchedule,
-                 operator: MeasurementOperator, data, *, c=None,
+                 operator: MeasurementOperator, data, *,
                  box_lo=None, box_hi=None, l2_nodes: int = 129,
-                 sup_points: int | None = None):
+                 sup_points: int = SUP_POINTS):
         if grid.ndim != 1:
             raise ValueError("learning problems are posed on 1D grids")
         self.grid = grid
@@ -298,22 +310,19 @@ class AllAtOnceProblem:
         self.data = data
         self.n_traj = data.shape[0]
 
-        self.c = as_weights(c, self.n_species)
-
-        lo = np.zeros(self.n_species) if box_lo is None else box_lo
-        hi = np.full(self.n_species, 1.2) if box_hi is None else box_hi
+        lo = np.full(self.n_species, BOX[0]) if box_lo is None else box_lo
+        hi = np.full(self.n_species, BOX[1]) if box_hi is None else box_hi
         self.box_lo, self.box_hi = as_box(lo, hi, self.n_species)
         self._l2_pts, self._l2_w = box_quadrature(
             self.box_lo, self.box_hi, nodes_per_dim=l2_nodes
         )
-        count = (4096 * self.n_species) if sup_points is None else int(sup_points)
-        self._sup_pts = halton_box(count, self.box_lo, self.box_hi)
+        self._sup_pts = halton_box(int(sup_points), self.box_lo, self.box_hi)
 
         self._mlp = MLPReaction(self.widths,
                                 np.zeros(MLPReaction.parameter_count(self.widths)))
         # the quadrature and sup points never move: their cutoffs are
         # evaluated once
-        fixed = wrap(self._mlp, chi, c=self.c)
+        fixed = wrap(self._mlp, chi)
         self._l2_cut = fixed.cutoffs(self._l2_pts)
         self._sup_cut = fixed.cutoffs(self._sup_pts)
         self._w = grid.quadrature_weights()
@@ -350,8 +359,7 @@ class AllAtOnceProblem:
         return tuple(out)
 
     def reaction(self, theta) -> ConsistentReaction:
-        return wrap(self._mlp.with_theta(np.asarray(theta, dtype=float)), self.chi,
-                    c=self.c)
+        return wrap(self._mlp.with_theta(np.asarray(theta, dtype=float)), self.chi)
 
     def initial_iterate(self, seed: int = 0) -> np.ndarray:
         """Defaults: data-driven state, floor diffusion, small random theta."""
@@ -395,13 +403,11 @@ class AllAtOnceProblem:
         fbar = self.reaction(theta)
         terms = {}
 
-        # base regularization R0 = |D|^2 + |u|_V^p + |u0|_H^2
+        # base regularization R0 = |D|^2 + |u|_V^2 + |u0|_H^2
         terms["diffusion_reg"] = float(np.sum(D * D))
         diff = np.diff(u, axis=-1)
-        s_v = float(np.einsum("k,lnkm,m->", tw, u * u, w)
-                    + np.einsum("k,lnkm->", tw, diff * diff) / h)
-        v_val, v_slope = _powered(s_v, sched.p / 2.0)
-        terms["state_reg"] = float(v_val)
+        terms["state_reg"] = float(np.einsum("k,lnkm,m->", tw, u * u, w)
+                                   + np.einsum("k,lnkm->", tw, diff * diff) / h)
         terms["initial_reg"] = float(np.einsum("lnm,m->", u0 * u0, w))
 
         # nu |theta|
@@ -439,14 +445,14 @@ class AllAtOnceProblem:
         for name, value in terms.items():
             if not math.isfinite(value):
                 raise FloatingPointError(f"objective term '{name}' is not finite")
-        tape = (fbar, D, u, u0, theta, diff, v_slope, tn, l2, idx, sup_cot,
+        tape = (fbar, D, u, u0, theta, diff, tn, l2, idx, sup_cot,
                 pts, traj, res, r_slope, lap_next, d0, dmis, y_slope)
         self._last = (x, terms, tape)
         return terms, tape
 
     def _reverse(self, tape) -> np.ndarray:
         """The packed gradient, from the tape of one `_forward` pass."""
-        (fbar, D, u, u0, theta, diff, v_slope, tn, l2, idx, sup_cot,
+        (fbar, D, u, u0, theta, diff, tn, l2, idx, sup_cot,
          pts, traj, res, r_slope, lap_next, d0, dmis, y_slope) = tape
         sched = self.schedule
         grid = self.grid
@@ -463,11 +469,11 @@ class AllAtOnceProblem:
         gth = np.zeros_like(theta)
 
         gD += 2.0 * D
-        gu += v_slope * 2.0 * tw[None, None, :, None] * u * w
+        gu += 2.0 * tw[None, None, :, None] * u * w
         dadj = np.zeros_like(u)
         dadj[..., :-1] -= diff
         dadj[..., 1:] += diff
-        gu += v_slope * 2.0 * tw[None, None, :, None] * dadj / h
+        gu += 2.0 * tw[None, None, :, None] * dadj / h
         gu0 += 2.0 * u0 * w
         if tn > 0.0:
             gth += sched.nu * theta / tn
@@ -503,8 +509,10 @@ class LevelResult:
 
     state_containment is the fraction of recovered state values inside the
     reaction box; the learned term is only identified where states visit,
-    so values well below 1 flag an extrapolating fit. terms_history holds
-    the terms of every accepted iterate under `keep_terms`, else None.
+    so values well below 1 flag an extrapolating fit. stop_reason is why
+    the loop ended: "converged", "iteration cap" or "step underflow".
+    terms_history holds the terms of every accepted iterate under
+    `keep_terms`, else None.
     """
 
     D: np.ndarray
@@ -513,9 +521,13 @@ class LevelResult:
     theta: np.ndarray = field(repr=False)
     history: np.ndarray = field(repr=False)
     terms: dict
-    converged: bool
+    stop_reason: str
     state_containment: float
     terms_history: list | None = field(default=None, repr=False)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     @property
     def iterations(self) -> int:
@@ -526,8 +538,8 @@ class LevelResult:
         return float(self.history[-1])
 
 
-def solve_level(prob: AllAtOnceProblem, x0=None, *, step: float = 0.02,
-                max_iters: int = 5000, seed: int = 0,
+def solve_level(prob: AllAtOnceProblem, x0=None, *, step: float = STEP,
+                max_iters: int = MAX_ITERS, seed: int = 0,
                 keep_terms: bool = False) -> LevelResult:
     """Minimize one level with adaptive-moment steps and a monotone guard.
 
@@ -547,7 +559,7 @@ def solve_level(prob: AllAtOnceProblem, x0=None, *, step: float = 0.02,
     m = np.zeros_like(x)
     v = np.zeros_like(x)
     d_size = prob._sizes[0]
-    converged = False
+    stop_reason = "iteration cap"
 
     for it in range(1, max_iters + 1):
         g = prob.gradient(x)
@@ -555,8 +567,7 @@ def solve_level(prob: AllAtOnceProblem, x0=None, *, step: float = 0.02,
         v = b2 * v + (1.0 - b2) * g * g
         direction = (m / (1.0 - b1 ** it)) / (np.sqrt(v / (1.0 - b2 ** it)) + tiny)
         s = step
-        stalled = False
-        while True:
+        for _ in range(41):  # the steps step * 2^-k, k = 0 .. 40
             x_new = x - s * direction
             x_new[:d_size] = np.maximum(x_new[:d_size], D_MIN)
             th = x_new[-prob._sizes[3]:]
@@ -567,10 +578,8 @@ def solve_level(prob: AllAtOnceProblem, x0=None, *, step: float = 0.02,
             if obj_new <= obj + 1e-12:
                 break
             s *= 0.5
-            if s < step * 2.0 ** -40:
-                stalled = True
-                break
-        if stalled:
+        else:
+            stop_reason = "step underflow"
             break
         x, obj = x_new, obj_new
         history.append(obj)
@@ -579,7 +588,7 @@ def solve_level(prob: AllAtOnceProblem, x0=None, *, step: float = 0.02,
         if it > patience:
             past = history[-patience - 1]
             if past - obj < tol * max(1.0, abs(past)):
-                converged = True
+                stop_reason = "converged"
                 break
 
     D, u, u0, theta = prob.unpack(x)
@@ -587,7 +596,7 @@ def solve_level(prob: AllAtOnceProblem, x0=None, *, step: float = 0.02,
               & (u <= prob.box_hi[None, :, None, None]))
     return LevelResult(D=D, u=u, u0=u0, theta=theta,
                        history=np.asarray(history),
-                       terms=prob.objective_terms(x), converged=converged,
+                       terms=prob.objective_terms(x), stop_reason=stop_reason,
                        state_containment=float(inside.mean()),
                        terms_history=terms_history)
 
@@ -614,8 +623,8 @@ class SweepRow:
 
 def identification_sweep(f_true, d_true: float, u0_profiles, grid: SpaceTimeGrid,
                          schedules, operators, widths, *, box_lo=None,
-                         box_hi=None, seed: int = 0, step: float = 0.05,
-                         max_iters: int = 8000, sup_points: int = 1024,
+                         box_hi=None, seed: int = 0, step: float = STEP,
+                         max_iters: int = MAX_ITERS, sup_points: int = SUP_POINTS,
                          error_nodes: int = 481, lipschitz=None):
     """Recover a known scalar reaction at increasing measurement quality.
 
@@ -637,8 +646,8 @@ def identification_sweep(f_true, d_true: float, u0_profiles, grid: SpaceTimeGrid
     truths = [solve(f_true, D_true, u0, grid, lipschitz=lipschitz)
               for u0 in u0_profiles]
 
-    lo = np.zeros(n) if box_lo is None else np.asarray(box_lo, dtype=float)
-    hi = np.full(n, 1.2) if box_hi is None else np.asarray(box_hi, dtype=float)
+    lo = np.full(n, BOX[0]) if box_lo is None else np.asarray(box_lo, dtype=float)
+    hi = np.full(n, BOX[1]) if box_hi is None else np.asarray(box_hi, dtype=float)
     probe = np.linspace(lo[0], hi[0], error_nodes)[:, None] if n == 1 else \
         halton_box(4096 * n, lo, hi, seed=1)
     true_vals = f_true.eval(probe)

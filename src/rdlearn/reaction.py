@@ -338,21 +338,19 @@ class MLPReaction(ReactionTerm):
         J = np.ascontiguousarray(np.moveaxis(Z_list[-1], -1, 0))
         return f, acts, J, A_list, Z_list
 
-    def vjp(self, u, cotangent, tape=None):
+    def vjp(self, u, cotangent, tape):
         """Reverse pass for the value: returns (theta_grad, u_grad).
 
         theta_grad is d<cotangent, f(u)>/dtheta (flat), u_grad the same
-        quantity differentiated in u, shape of the batch. `tape` is the
-        result of `forward` on the same batch; without it the forward
-        pass runs here. u, the cotangent and u_grad are (S, N); inside,
-        the cotangent runs back points-last, (width, S), like the tape.
+        quantity differentiated in u. `tape` is the result of `forward` on
+        the batch u, which this pass replays. u, the cotangent and u_grad
+        are (S, N); inside, the cotangent runs back points-last, (width,
+        S), like the tape.
         """
-        ub, single = _atleast_batch(u, self.n_species)
-        cot, _ = _atleast_batch(cotangent, self.n_species)
-        _, acts = self.forward(ub) if tape is None else tape
+        _, acts = tape
         gW = [None] * len(self._layers)
         gb = [None] * len(self._layers)
-        delta = cot.T
+        delta = cotangent.T
         for i in reversed(range(len(self._layers))):
             W, _ = self._layers[i]
             gW[i] = delta @ acts[i].T
@@ -363,32 +361,22 @@ class MLPReaction(ReactionTerm):
                 delta = _times_product(slope, W.T, delta)
             else:
                 delta = _product(W.T, delta)
-        u_grad = delta.T
-        return self._pack(gW, gb), (u_grad[0] if single else u_grad)
+        return self._pack(gW, gb), delta.T
 
-    def jac_vjp(self, u, cot_jac, cot_val=None, state=None):
+    def jac_vjp(self, u, cot_jac, cot_val, state):
         """Reverse pass through value and Jacobian simultaneously.
 
         Computes d(<cot_jac, df/du(u)> + <cot_val, f(u)>)/dtheta. This is
         the second-order pass behind the gradient of sup-norm terms on the
         wrapped Jacobian: the Jacobian forward recursion
         A_{i+1} = (1 - a_{i+1}^2) * (W_i A_i) is itself differentiated in
-        reverse, which costs one extra product chain per layer. `state` is
-        the result of `_value_jac_state` on the same batch; without it
-        that pass runs here.
+        reverse, which costs one extra product chain per layer. u is a
+        batch (S, N), cot_jac (S, N, N) and cot_val (S, N); `state` is the
+        result of `_value_jac_state` on u, which this pass replays.
         """
-        ub, single = _atleast_batch(u, self.n_species)
-        if ub.shape[0] == 0:
-            return np.zeros_like(self.theta)
-        cot_jac = np.asarray(cot_jac, dtype=float)
-        if single:
-            cot_jac = cot_jac[None]
-        S, N = ub.shape
-        if cot_val is None:
-            z_hat = np.zeros((N, S))
-        else:
-            z_hat = _atleast_batch(cot_val, self.n_species)[0].T
-        _, acts, _, A_list, Z_list = self._value_jac_state(ub) if state is None else state
+        S, N = u.shape
+        z_hat = cot_val.T
+        _, acts, _, A_list, Z_list = state
         L = len(self._layers)
         gW = [None] * L
         gb = [None] * L

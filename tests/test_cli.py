@@ -11,14 +11,13 @@ import os
 import stat
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import rdlearn
-from rdlearn.cli import (ConfigError, ExperimentConfig, _fmt, _parse_levels,
-                         _stop_reason, _trajectory_blocks, main, shipped_config)
+from rdlearn.cli import (ConfigError, ExperimentConfig, _fmt, _parse_levels, _trajectory_blocks,
+                         main, shipped_config)
 from rdlearn.consistency import wrap
 from rdlearn.rdsolve import DiffusionSpec, SpaceTimeGrid, solve
 from rdlearn.reaction import make_reaction
@@ -213,9 +212,17 @@ BAD_WEIGHTS_CFG = SIM_CFG.replace("diffusion = 0.05", "diffusion = 0.05\nweights
      "schedule.levels: levels must be strictly increasing"),
     ("learn", LEARN_CFG.replace("levels = 1,2,3", "levels = 0..2"),
      "schedule.levels: levels start at 1"),
+    ("learn", LEARN_CFG.replace("lam0 = 10.0", "lam0 = 0.0"),
+     "config error: schedule.lam0 must be > 0.0, got 0.0"),
+    ("learn", LEARN_CFG.replace("lam0 = 10.0", "lam0 = 10.0\nq = 3.0"),
+     "config error: schedule: need q <= p = 2, got q=3.0"),
+    ("learn", LEARN_CFG.replace("gamma = 0.5", "gamma = 1.0"),
+     "config error: schedule: gamma must satisfy 0 < gamma < beta, got gamma=1.0, beta=1.0"),
+    ("learn", LEARN_CFG.replace("constant:0.4", "constant:0.05|constant:0.1"),
+     "config error: domain.initials needs 1 '|'-separated profiles, got 2"),
 ], ids=["diffusion", "weights-simulate", "weights-check", "delta", "diffusion-learn", "kind",
         "levels-order-option", "levels-start-option", "levels-order-config",
-        "levels-start-config"])
+        "levels-start-config", "lam0", "q", "gamma-beta", "initials"])
 def test_inconsistent_values_exit_2_and_name_the_key(command, text, named, tmp_path, capsys):
     cfg = write(tmp_path, text)
     code = main(command.split() + ["--config", cfg, "--out", str(tmp_path / "o")])
@@ -437,13 +444,6 @@ def test_learn_says_why_each_level_stopped(tmp_path, capsys):
     assert len(warnings) == 1
     assert warnings[0].startswith("warning: level 1: the cutoff is still positive "
                                   "at the top of the reaction box (1.2 < eps + delta = 1.5)")
-
-    def result(converged, iterations):
-        return SimpleNamespace(converged=converged, iterations=iterations)
-
-    assert _stop_reason(result(True, 60), 100) == "converged"
-    assert _stop_reason(result(False, 100), 100) == "iteration cap"
-    assert _stop_reason(result(False, 7), 100) == "step underflow"
 
 
 def test_learn_manifest_is_the_same_under_one_and_two_blas_threads(tmp_path):

@@ -86,23 +86,22 @@ def test_identity_off_cutoff_support():
     np.testing.assert_array_equal(g.jacobian(u), fk.jacobian(u))
 
 
-def test_cutoff_per_component():
+def test_wrap_takes_one_cutoff():
+    """Every component is lifted with the one cutoff chi; a sequence of
+    cutoffs is not a cutoff."""
+    chi = build_mollified_heaviside(0.2)
     f = make_reaction("lotka-volterra")
-    chis = (build_mollified_heaviside(0.1), build_mollified_heaviside(0.4))
-    g = wrap(f, chis, lipschitz=4.0)
-    u = np.array([0.3, 0.3])
-    vals = g.chi_values(u)
-    assert vals[0] == 0.0  # past 0.1 + 0.05
-    assert 0.0 < vals[1] < 1.0  # inside the (0.2, 0.6) ramp of the wider cutoff
-    with pytest.raises(ValueError, match="one cutoff per species"):
-        wrap(f, (chis[0],))
+    for chis in ((chi, chi), [chi, chi], (chi,)):
+        with pytest.raises(TypeError, match="one TransitionFunction"):
+            wrap(f, chis, lipschitz=4.0)
+    assert wrap(f, chi, lipschitz=4.0).chi is chi
 
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("rows", [150, 1500, 4000])
 def test_shared_cutoff_is_one_call_with_per_column_bits(n, rows, monkeypatch):
-    """One cutoff shared by every component is evaluated on the whole batch
-    in one call, with the bits of a per-column evaluation."""
+    """The cutoff is evaluated on the whole batch in one call, with the
+    bits of a per-column evaluation, and so is its derivative."""
     chi = build_mollified_heaviside(0.3)
     rng = np.random.default_rng(rows + n)
     u = rng.uniform(0.0, 0.6, (rows, n))  # about half inside the ramp (0.15, 0.45)
@@ -120,24 +119,27 @@ def test_shared_cutoff_is_one_call_with_per_column_bits(n, rows, monkeypatch):
 
     for name in ("evaluate", "derivative"):
         monkeypatch.setattr(TransitionFunction, name, counted(name))
-    cut = Cutoffs((chi,) * n, u)
-    values, derivatives = cut.values, cut.derivatives
-    assert calls == ["evaluate", "derivative"]
-    expected = np.column_stack([chi(u[:, k]) for k in range(n)])
-    assert values.tobytes() == expected.tobytes()
-    expected = np.column_stack([chi.derivative(u[:, k]) for k in range(n)])
-    assert derivatives.tobytes() == expected.tobytes()
-    assert np.isnan(values[::37, 0]).all()
-
-    # distinct cutoffs: one call per column, each with its own eps
-    chis = [build_mollified_heaviside(0.2 + 0.1 * k) for k in range(n)]
-    expected = np.column_stack([c(u[:, k]) for k, c in enumerate(chis)])
+    # the batch is read whole when f is not given, when some f_n < 0, or
+    # when some u_n is NaN
+    f = np.ones_like(u)
+    negative = f.copy()
+    negative[3, n - 1] = -1.0
+    for given in (None, negative, f):
+        calls.clear()
+        cut = Cutoffs(chi, u, given)
+        values, derivatives = cut.values, cut.derivatives
+        assert calls == ["evaluate", "derivative"]
+        expected = np.column_stack([chi(u[:, k]) for k in range(n)])
+        assert values.tobytes() == expected.tobytes()
+        expected = np.column_stack([chi.derivative(u[:, k]) for k in range(n)])
+        assert derivatives.tobytes() == expected.tobytes()
+        assert np.isnan(values[::37, 0]).all()
+    # otherwise its values and derivatives are exact zeros, and no call is made
     calls.clear()
-    cut = Cutoffs(chis, u)
-    assert calls == ["evaluate"] * n
-    assert cut.values.tobytes() == expected.tobytes()
-    assert not np.array_equal(cut.values, Cutoffs((chis[0],) * n, u).values,
-                              equal_nan=True)
+    finite = np.nan_to_num(u)
+    cut = Cutoffs(chi, finite, f)
+    assert cut.values.tobytes() == cut.derivatives.tobytes() == np.zeros_like(u).tobytes()
+    assert calls == []
 
 
 def cross_term():
@@ -157,18 +159,16 @@ def cross_term():
 def every_cutoff(self, u, f=None):
     """`ConsistentReaction.cutoffs` that reads chi on every batch: the
     reference, lift(f, chi(u))."""
-    return Cutoffs(self.chi_list, u)
+    return Cutoffs(self.chi, u)
 
 
-@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-species"])
 @pytest.mark.parametrize("base", ["mlp", "analytic"])
-def test_unread_cutoffs_keep_the_results_of_every_cutoff(base, shared, monkeypatch):
-    """Skipping the cutoffs of a batch (or column) with no f_n < 0 keeps the
-    values of lift(f, chi(u)) bit for bit; gradients may differ only in
-    the sign of a zero. The batches: mixed signs, f >= 0 everywhere, f_1 >= 0
-    with f_0 mixed, and f >= 0 with a NaN u_0 in one row."""
-    chi = (build_mollified_heaviside(0.3) if shared
-           else (build_mollified_heaviside(0.2), build_mollified_heaviside(0.4)))
+def test_unread_cutoffs_keep_the_results_of_every_cutoff(base, monkeypatch):
+    """Skipping the cutoffs of a batch with no f_n < 0 keeps the values of
+    lift(f, chi(u)) bit for bit; gradients may differ only in the sign of a
+    zero. The batches: mixed signs, f >= 0 everywhere, f_1 >= 0 with f_0
+    mixed, and f >= 0 with a NaN u_0 in one row."""
+    chi = build_mollified_heaviside(0.3)
     f = MLPReaction.from_seed((2, 8, 2), seed=6, scale=1.5) if base == "mlp" else cross_term()
     g = wrap(f, chi, lipschitz=1.0)
     rng = np.random.default_rng(12)
@@ -191,7 +191,6 @@ def test_unread_cutoffs_keep_the_results_of_every_cutoff(base, shared, monkeypat
             tape = g.forward(v)
             out["forward"], out["forward_f"] = tape.value, tape.f
             out["value_vjp"] = np.concatenate(g.value_vjp(v, cot, tape), axis=None)
-            out["value_vjp_untaped"] = np.concatenate(g.value_vjp(v, cot), axis=None)
             out["jac_vjp"] = g.jac_vjp(v, cot_jac, cot_val)
         return out
 
@@ -205,7 +204,7 @@ def test_unread_cutoffs_keep_the_results_of_every_cutoff(base, shared, monkeypat
         for name in ("eval", "point", "forward", "forward_f"):
             if name in ref:
                 assert got[name].tobytes() == ref[name].tobytes(), (label, name)
-        for name in ("jacobian", "value_vjp", "value_vjp_untaped", "jac_vjp"):
+        for name in ("jacobian", "value_vjp", "jac_vjp"):
             if name in ref:
                 assert np.array_equal(got[name], ref[name], equal_nan=True), (label, name)
     # a NaN u_0 gives a NaN fbar_0, also where f_0 >= 0
@@ -217,8 +216,7 @@ def test_unread_cutoffs_keep_the_results_of_every_cutoff(base, shared, monkeypat
 def test_a_batch_with_no_negative_value_reads_no_cutoff(monkeypatch):
     """Where f >= 0 the lift reads no cutoff, so none is evaluated: a batch
     with no negative entry makes no `TransitionFunction.evaluate` call. A
-    shared cutoff with one negative component is read on the whole batch,
-    in one call; per-species cutoffs read only that component's column."""
+    batch with one negative component is read whole, in one call."""
     widths = (2, 8, 2)
     theta = np.zeros(MLPReaction.parameter_count(widths))
     theta[-2:] = 0.5  # the output bias: f = (0.5, 0.5) everywhere
@@ -244,9 +242,6 @@ def test_a_batch_with_no_negative_value_reads_no_cutoff(monkeypatch):
     theta[-2] = -0.5  # f_0 < 0 everywhere, f_1 > 0
     values = wrap(MLPReaction(widths, theta), chi).eval(u)
     assert calls == [600]
-    per_species = wrap(MLPReaction(widths, theta), (chi, build_mollified_heaviside(0.2)))
-    assert per_species.eval(u).tobytes() == values.tobytes()
-    assert calls == [600, 300]
     np.testing.assert_array_equal(values[:, 0], -0.5 + 0.5 * evaluate(chi, u[:, 0]))
     np.testing.assert_array_equal(values[:, 1], 0.5)
 
@@ -288,7 +283,7 @@ def test_value_vjp_matches_finite_differences():
     rng = np.random.default_rng(5)
     P = rng.uniform(0.0, 0.4, size=(9, 3))
     cot = rng.normal(size=(9, 3))
-    theta_grad, u_grad = g.value_vjp(P, cot)
+    theta_grad, u_grad = g.value_vjp(P, cot, g.forward(P))
 
     def scalar(theta):
         return float(np.sum(wrap(mlp.with_theta(theta), chi).eval(P) * cot))
@@ -349,11 +344,12 @@ def test_jac_vjp_runs_the_base_forward_pass_once(monkeypatch):
 
 
 def test_reverse_helpers_require_parameterized_base():
+    """`value_vjp` replays a tape that only `forward` makes."""
     g = wrap(make_reaction("fisher-kpp"), build_mollified_heaviside(0.2))
     with pytest.raises(TypeError, match="parameterized"):
-        g.value_vjp(np.array([0.1]), np.array([1.0]))
+        g.forward(np.array([[0.1]]))
     with pytest.raises(TypeError, match="parameterized"):
-        g.jac_vjp(np.array([0.1]), np.array([[1.0]]))
+        g.jac_vjp(np.array([[0.1]]), np.array([[[1.0]]]))
 
 
 def test_constants_for_negative_constant():

@@ -101,7 +101,7 @@ def test_value_vjp_matches_finite_differences():
     rng = np.random.default_rng(2)
     U = rng.normal(size=(5, 2))
     cot = rng.normal(size=(5, 2))
-    theta_grad, u_grad = mlp.vjp(U, cot)
+    theta_grad, u_grad = mlp.vjp(U, cot, mlp.forward(U))
 
     def scalar(theta):
         return float(np.sum(mlp.with_theta(theta).eval(U) * cot))
@@ -129,7 +129,7 @@ def test_jacobian_cotangent_pass_matches_finite_differences():
     U = rng.normal(size=(4, 2))
     cot_jac = rng.normal(size=(4, 2, 2))
     cot_val = rng.normal(size=(4, 2))
-    grad = mlp.jac_vjp(U, cot_jac, cot_val)
+    grad = mlp.jac_vjp(U, cot_jac, cot_val, mlp._value_jac_state(U))
 
     def scalar(theta):
         m = mlp.with_theta(theta)
@@ -244,14 +244,14 @@ def test_points_last_passes_match_a_row_major_reference(widths, rows):
     _close_to_reference(mlp.jacobian(U), ref_state[2][-1], rows)
 
     ref_theta_grad, ref_u_grad = _ref_vjp(layers, U, cot)
-    for tape in (None, (f, acts)):
-        theta_grad, u_grad = mlp.vjp(U, cot, tape)
-        _close_to_reference(theta_grad, ref_theta_grad, rows)
-        _close_to_reference(u_grad, ref_u_grad, rows)
+    theta_grad, u_grad = mlp.vjp(U, cot, (f, acts))
+    _close_to_reference(theta_grad, ref_theta_grad, rows)
+    _close_to_reference(u_grad, ref_u_grad, rows)
 
-    _close_to_reference(mlp.jac_vjp(U, cot_jac, cot), _ref_jac_vjp(layers, U, cot_jac, cot), rows)
-    _close_to_reference(mlp.jac_vjp(U, cot_jac),
-                        _ref_jac_vjp(layers, U, cot_jac, np.zeros_like(U)), rows)
+    state = mlp._value_jac_state(U)
+    for cot_val in (cot, np.zeros_like(U)):
+        _close_to_reference(mlp.jac_vjp(U, cot_jac, cot_val, state),
+                            _ref_jac_vjp(layers, U, cot_jac, cot_val), rows)
 
 
 @pytest.mark.parametrize("shape", [(16, 1, 7380), (16, 1, 5), (2, 1, 14760), (1, 1, 3)])
