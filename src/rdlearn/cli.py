@@ -1,7 +1,7 @@
 """Command-line harness: config-driven experiments with reproducible outputs.
 
 Every subcommand reads a strict INI config (unknown sections or keys are
-errors, so typos in schedule exponents cannot pass silently), seeds all
+errors, so a mistyped key cannot pass silently), seeds all
 randomness from one place, and writes CSV files atomically together with
 a manifest of content hashes. Reruns with the same config and seed are
 byte-identical; there is nothing interactive here.
@@ -42,9 +42,8 @@ _SCHEMA = {
     "grid": {"nodes", "horizon", "steps"},
     "reaction": {"name", "diffusion", "weights", "box", "widths"},
     "wrapper": {"eps", "delta"},
-    "schedule": {"alpha", "beta", "gamma", "q", "r", "lam0", "mu0", "nu0", "levels"},
+    "schedule": {"alpha", "beta", "gamma", "lam0", "mu0", "nu0", "levels"},
     "measurement": {"kind", "strides", "modes"},
-    "noise": {"delta_rule"},
     "optimizer": {"step", "max_iters", "sup_points"},
     "output": {"prefix"},
 }
@@ -471,9 +470,14 @@ def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) 
         raise ConfigError("learn needs reaction.name (the ground truth)")
     # the learning problem has one diffusion coefficient, shared by all species
     diffusion = cfg.getfloat("reaction", "diffusion", minimum=0.0)
+    try:
+        DiffusionSpec.uniform(diffusion, n)
+    except ValueError as exc:
+        raise ConfigError(f"reaction.diffusion: {exc}") from None
     widths = tuple(cfg.getints("reaction", "widths", default=[n, 16, n]))
-    if widths[0] != n or widths[-1] != n:
-        raise ConfigError(f"reaction.widths must start and end with {n}, got {widths}")
+    if len(widths) < 2 or widths[0] != n or widths[-1] != n or min(widths) < 1:
+        raise ConfigError(
+            f"reaction.widths must be two or more positive widths from {n} to {n}, got {widths}")
     box = cfg.getfloats("reaction", "box", default=BOX)
     if len(box) != 2 or box[0] >= box[1]:
         raise ConfigError(f"reaction.box must be lo,hi with lo < hi, got {box}")
@@ -486,25 +490,15 @@ def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) 
             _parse_levels(args.levels or cfg.get("schedule", "levels", "1,2,3")))
     except ValueError as exc:
         raise ConfigError(f"{levels_key}: {exc}") from exc
-    rule_name = cfg.get("noise", "delta_rule", "pow2")
-    if rule_name == "pow2":
-        delta_rule = lambda m: 2.0 ** -m
-    elif rule_name == "pow4":
-        delta_rule = lambda m: 4.0 ** -m
-    else:
-        raise ConfigError(f"noise.delta_rule must be pow2 or pow4, got {rule_name!r}")
     # each value's own range is checked as it is read, and named by its key;
     # what make_schedule rejects is a combination of them
     alpha = cfg.getfloat("schedule", "alpha", minimum=1.0)
     beta = cfg.getfloat("schedule", "beta", minimum=0.0)
     gamma = cfg.getfloat("schedule", "gamma", minimum=0.0)
-    q = cfg.getfloat("schedule", "q", default=2.0, minimum=1.0)
-    r = cfg.getfloat("schedule", "r", default=2.0, minimum=1.0)
     prefactors = {key: cfg.getfloat("schedule", key, default=1.0, minimum=0.0)
                   for key in ("lam0", "mu0", "nu0")}
     try:
-        scheds = make_schedule(alpha, beta, gamma, levels=levels, q=q, r=r,
-                               delta_rule=delta_rule, **prefactors)
+        scheds = make_schedule(alpha, beta, gamma, levels=levels, **prefactors)
     except ValueError as exc:
         raise ConfigError(f"schedule: {exc}") from exc
 
@@ -528,7 +522,7 @@ def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) 
 
     rows, results = identification_sweep(
         f_true, diffusion, u0s, grid, scheds, ops, widths,
-        box_lo=[box[0]] * n, box_hi=[box[1]] * n, seed=args.seed,
+        box_lo=box[0], box_hi=box[1], seed=args.seed,
         step=cfg.getfloat("optimizer", "step", default=STEP, minimum=0.0),
         max_iters=cfg.getint("optimizer", "max_iters", default=MAX_ITERS, minimum=0),
         sup_points=cfg.getint("optimizer", "sup_points", default=SUP_POINTS, minimum=0),

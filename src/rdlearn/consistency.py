@@ -198,9 +198,9 @@ class ConsistentReaction(ReactionTerm):
         theta_grad, u_grad = self.base.vjp(u, cotangent * scale, (tape.f, tape.acts))
         return theta_grad, u_grad + cotangent * d_u
 
-    def jac_vjp(self, u, cot_jac, cot_val=None):
-        """theta-gradient of <cot_jac, grad fbar(u)> + <cot_val, fbar(u)>
-        on a batch u (S, N), with cot_jac (S, N, N) and cot_val (S, N).
+    def jac_vjp(self, u, cot_jac):
+        """theta-gradient of <cot_jac, grad fbar(u)> on a batch u (S, N),
+        with cot_jac (S, N, N).
 
         The base network's value and Jacobian pass runs once: its f sets
         the lift's partials, and its tape is what `MLPReaction.jac_vjp`
@@ -214,8 +214,6 @@ class ConsistentReaction(ReactionTerm):
         base_cot_jac = scale[:, :, None] * cot_jac
         diag = np.arange(self.n_species)
         base_cot_val = -((f < 0.0) * cut.derivatives * cot_jac[:, diag, diag])
-        if cot_val is not None:
-            base_cot_val = base_cot_val + cot_val * scale
         return self.base.jac_vjp(u, base_cot_jac, base_cot_val, state)
 
     def _require_param(self):

@@ -154,10 +154,10 @@ def generate_measurements(truth: StateField, operator: MeasurementOperator,
 
 @dataclass(frozen=True)
 class LevelSchedule:
-    """Regularization weights and cutoff width for one level m.
+    """Regularization weights, noise radius and cutoff width for one level m.
 
-    The state norm enters the objective squared (exponent p = 2), so the
-    residual exponent q is at most 2.
+    The objective reads these values only: the state norm, the residual
+    and the data misfit all enter squared (exponents p = q = r = 2).
     """
 
     m: int
@@ -167,11 +167,6 @@ class LevelSchedule:
     nu: float
     delta: float
     psi: float
-    alpha: float
-    beta: float
-    gamma: float
-    q: float = 2.0
-    r: float = 2.0
 
     def __post_init__(self):
         if self.m < 1:
@@ -181,15 +176,6 @@ class LevelSchedule:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.nu < 0 or self.delta < 0:
             raise ValueError("nu and delta must be nonnegative")
-        if not (self.q > 1 and self.r > 1):
-            raise ValueError(f"exponents q, r must exceed 1, got q={self.q}, r={self.r}")
-        if self.q > 2.0:
-            raise ValueError(f"need q <= p = 2, got q={self.q}")
-
-    @property
-    def preserved_rate(self) -> float:
-        """min(alpha gamma, beta), as `WrapperSchedule` defines it."""
-        return WrapperSchedule(self.alpha, self.beta, self.gamma).preserved_rate
 
 
 def check_levels(levels) -> list[int]:
@@ -203,18 +189,18 @@ def check_levels(levels) -> list[int]:
 
 
 def make_schedule(alpha: float, beta: float, gamma: float, levels=(1, 2, 3),
-                  q: float = 2.0, r: float = 2.0,
-                  delta_rule=None, lam0: float = 1.0, mu0: float = 1.0,
+                  lam0: float = 1.0, mu0: float = 1.0,
                   nu0: float = 1.0) -> list[LevelSchedule]:
     """One admissible weight schedule per level.
 
     The cutoff width eps_m and the preserved rate come from
-    `WrapperSchedule`. lam grows like m to the power preserved-rate * q / 2,
-    mu like the inverse noise radius to the r/2, and the parameter bound is
-    psi = m^2, so nu decays like 1/(psi m). The vanishing-product
-    requirements are checked numerically: each product must strictly
-    decrease along the levels and end below half its initial value.
-    The prefactors lam0/mu0/nu0 tune constants the theory leaves free.
+    `WrapperSchedule`. The noise radius is delta_m = 2^-m, lam grows like
+    m to the preserved rate, mu like the inverse noise radius, and the
+    parameter bound is psi = m^2, so nu decays like 1/(psi m). The
+    vanishing-product requirements are checked numerically: each product
+    must strictly decrease along the levels and end below half its
+    initial value. The prefactors lam0/mu0/nu0 tune constants the theory
+    leaves free.
     """
     if not 0 < gamma < beta:
         raise ValueError(
@@ -222,30 +208,22 @@ def make_schedule(alpha: float, beta: float, gamma: float, levels=(1, 2, 3),
         )
     wrapper = WrapperSchedule(alpha, beta, gamma)
     levels = check_levels(levels)
-    if delta_rule is None:
-        delta_rule = lambda m: 2.0 ** -m
     rate = wrapper.preserved_rate
     out = []
     for m in levels:
-        delta = float(delta_rule(m))
-        if delta <= 0:
-            raise ValueError(
-                f"delta_rule must return positive noise radii, got {delta} at "
-                f"level {m}; the data-misfit weight scales like delta^(-r/2)"
-            )
+        delta = 2.0 ** -m
         psi = float(m * m)
         out.append(LevelSchedule(
             m=m, eps=wrapper.eps(m),
-            lam=lam0 * float(m) ** (rate * q / 2.0),
-            mu=mu0 * delta ** (-r / 2.0),
+            lam=lam0 * float(m) ** rate,
+            mu=mu0 / delta,
             nu=nu0 * (1.0 / (psi * m)),
             delta=delta, psi=psi,
-            alpha=alpha, beta=beta, gamma=gamma, q=q, r=r,
         ))
     if len(out) > 1:
         products = {
-            "lam * m^(-rate q)": [s.lam * s.m ** (-rate * q) for s in out],
-            "mu * delta^r": [s.mu * s.delta ** r for s in out],
+            "lam * m^(-2 rate)": [s.lam * s.m ** (-rate * 2.0) for s in out],
+            "mu * delta^2": [s.mu * s.delta ** 2 for s in out],
             "nu * psi": [s.nu * s.psi for s in out],
         }
         for name, vals in products.items():
@@ -259,16 +237,6 @@ def make_schedule(alpha: float, beta: float, gamma: float, levels=(1, 2, 3),
 
 # ---------------------------------------------------------------------------
 # the problem
-
-
-def _powered(s, half_exponent: float):
-    """(s^e, e s^(e-1)) elementwise, with the 0^negative convention fixed
-    to zero where s <= 0; NaN stays NaN."""
-    s = np.asarray(s, dtype=float)
-    off = s <= 0.0
-    s = np.where(off, 1.0, s)
-    return (np.where(off, 0.0, s ** half_exponent),
-            np.where(off, 0.0, half_exponent * s ** (half_exponent - 1.0)))
 
 
 class AllAtOnceProblem:
@@ -286,7 +254,7 @@ class AllAtOnceProblem:
 
     def __init__(self, grid: SpaceTimeGrid, widths, chi, schedule: LevelSchedule,
                  operator: MeasurementOperator, data, *,
-                 box_lo=None, box_hi=None, l2_nodes: int = 129,
+                 box_lo=BOX[0], box_hi=BOX[1], l2_nodes: int = 129,
                  sup_points: int = SUP_POINTS):
         if grid.ndim != 1:
             raise ValueError("learning problems are posed on 1D grids")
@@ -310,9 +278,7 @@ class AllAtOnceProblem:
         self.data = data
         self.n_traj = data.shape[0]
 
-        lo = np.full(self.n_species, BOX[0]) if box_lo is None else box_lo
-        hi = np.full(self.n_species, BOX[1]) if box_hi is None else box_hi
-        self.box_lo, self.box_hi = as_box(lo, hi, self.n_species)
+        self.box_lo, self.box_hi = as_box(box_lo, box_hi, self.n_species)
         self._l2_pts, self._l2_w = box_quadrature(
             self.box_lo, self.box_hi, nodes_per_dim=l2_nodes
         )
@@ -426,34 +392,32 @@ class AllAtOnceProblem:
         sup_cot = J[idx] / norms[idx] if norms[idx] > 0.0 else None
 
         # trajectory terms: the points (l, k, m) of every trajectory form one
-        # network batch, and each power acts on one trajectory's sum
+        # network batch, and each squared norm is summed per trajectory first
         pts = np.moveaxis(u[:, :, :-1], 1, -1).reshape(-1, N)
         traj = fbar.forward(pts)
         fvals = np.moveaxis(traj.value.reshape(L, K, M, N), -1, 1)
         lap_next = mirror_laplacian(u[:, :, 1:], h)
         res = (u[:, :, 1:] - u[:, :, :-1]) / dt - D[:, :, None, None] * lap_next - fvals
-        r_val, r_slope = _powered(dt * np.einsum("lnkm,m->l", res * res, w), sched.q / 2.0)
-        terms["residual"] = sched.lam * float(np.sum(r_val))
+        terms["residual"] = sched.lam * float(np.sum(dt * np.einsum("lnkm,m->l", res * res, w)))
 
         d0 = u[:, :, 0] - u0
         terms["init_misfit"] = sched.lam * float(np.einsum("lnm,m->", d0 * d0, w))
 
         dmis = self.operator.apply(u, grid) - self.data
-        y_val, y_slope = _powered(np.einsum("lnkm->l", dmis * dmis), sched.r / 2.0)
-        terms["data_misfit"] = sched.mu * float(np.sum(y_val))
+        terms["data_misfit"] = sched.mu * float(np.sum(np.einsum("lnkm->l", dmis * dmis)))
 
         for name, value in terms.items():
             if not math.isfinite(value):
                 raise FloatingPointError(f"objective term '{name}' is not finite")
         tape = (fbar, D, u, u0, theta, diff, tn, l2, idx, sup_cot,
-                pts, traj, res, r_slope, lap_next, d0, dmis, y_slope)
+                pts, traj, res, lap_next, d0, dmis)
         self._last = (x, terms, tape)
         return terms, tape
 
     def _reverse(self, tape) -> np.ndarray:
         """The packed gradient, from the tape of one `_forward` pass."""
         (fbar, D, u, u0, theta, diff, tn, l2, idx, sup_cot,
-         pts, traj, res, r_slope, lap_next, d0, dmis, y_slope) = tape
+         pts, traj, res, lap_next, d0, dmis) = tape
         sched = self.schedule
         grid = self.grid
         dt, h = grid.dt, grid.h[0]
@@ -482,7 +446,7 @@ class AllAtOnceProblem:
         if sup_cot is not None:
             gth += fbar.jac_vjp(self._sup_pts[idx][None], sup_cot[None])
 
-        G = sched.lam * r_slope[:, None, None, None] * 2.0 * dt * res * w
+        G = sched.lam * 2.0 * dt * res * w
         gu[:, :, 1:] += G / dt - D[:, :, None, None] * mirror_laplacian_transpose(G, h)
         gu[:, :, :-1] -= G / dt
         tg, ug = fbar.value_vjp(pts, -np.moveaxis(G, 1, -1).reshape(-1, N), traj)
@@ -493,7 +457,7 @@ class AllAtOnceProblem:
         gu[:, :, 0] += 2.0 * sched.lam * d0 * w
         gu0 -= 2.0 * sched.lam * d0 * w
 
-        gy = sched.mu * y_slope[:, None, None, None] * 2.0 * dmis
+        gy = sched.mu * 2.0 * dmis
         gu += self.operator.adjoint(gy, grid)
 
         return self.pack(gD, gu, gu0, gth)
@@ -622,8 +586,8 @@ class SweepRow:
 
 
 def identification_sweep(f_true, d_true: float, u0_profiles, grid: SpaceTimeGrid,
-                         schedules, operators, widths, *, box_lo=None,
-                         box_hi=None, seed: int = 0, step: float = STEP,
+                         schedules, operators, widths, *, box_lo=BOX[0],
+                         box_hi=BOX[1], seed: int = 0, step: float = STEP,
                          max_iters: int = MAX_ITERS, sup_points: int = SUP_POINTS,
                          error_nodes: int = 481, lipschitz=None):
     """Recover a known scalar reaction at increasing measurement quality.
@@ -646,8 +610,7 @@ def identification_sweep(f_true, d_true: float, u0_profiles, grid: SpaceTimeGrid
     truths = [solve(f_true, D_true, u0, grid, lipschitz=lipschitz)
               for u0 in u0_profiles]
 
-    lo = np.full(n, BOX[0]) if box_lo is None else np.asarray(box_lo, dtype=float)
-    hi = np.full(n, BOX[1]) if box_hi is None else np.asarray(box_hi, dtype=float)
+    lo, hi = as_box(box_lo, box_hi, n)
     probe = np.linspace(lo[0], hi[0], error_nodes)[:, None] if n == 1 else \
         halton_box(4096 * n, lo, hi, seed=1)
     true_vals = f_true.eval(probe)

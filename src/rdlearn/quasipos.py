@@ -194,7 +194,6 @@ class ModifiedFunction:
 
     base: object
     layer: BoundaryLayer
-    delta: float
     chi: TransitionFunction = dataclasses.field(repr=False)
 
     def __call__(self, points) -> np.ndarray:
@@ -212,13 +211,8 @@ def modify(f, layer: BoundaryLayer, delta: float):
     interpolates continuously in between. It is therefore >= 0 on the
     faces themselves with no tolerance. delta must lie in (0, eps).
     """
-    delta = float(delta)
-    if not 0.0 < delta < layer.eps:
-        raise ValueError(
-            f"delta must lie in (0, eps) = (0, {layer.eps}), got {delta}"
-        )
-    chi = TransitionFunction(layer.eps, delta, default_kernel())
-    return ModifiedFunction(f, layer, delta, chi)
+    chi = TransitionFunction(layer.eps, float(delta), default_kernel())
+    return ModifiedFunction(f, layer, chi)
 
 
 @dataclass

@@ -215,14 +215,23 @@ BAD_WEIGHTS_CFG = SIM_CFG.replace("diffusion = 0.05", "diffusion = 0.05\nweights
     ("learn", LEARN_CFG.replace("lam0 = 10.0", "lam0 = 0.0"),
      "config error: schedule.lam0 must be > 0.0, got 0.0"),
     ("learn", LEARN_CFG.replace("lam0 = 10.0", "lam0 = 10.0\nq = 3.0"),
-     "config error: schedule: need q <= p = 2, got q=3.0"),
+     "config error: unknown config key schedule.q"),
+    ("learn", LEARN_CFG + "\n[noise]\ndelta_rule = pow2\n",
+     "config error: unknown config section [noise]"),
+    ("learn", LEARN_CFG.replace("diffusion = 0.02", "diffusion = 1e-9"),
+     "config error: reaction.diffusion: diffusion coefficients (1e-09,) must lie above "
+     "the floor 1e-06"),
+    ("learn", LEARN_CFG.replace("widths = 1,4,1", "widths = 1,0,1"),
+     "config error: reaction.widths must be two or more positive widths from 1 to 1, "
+     "got (1, 0, 1)"),
     ("learn", LEARN_CFG.replace("gamma = 0.5", "gamma = 1.0"),
      "config error: schedule: gamma must satisfy 0 < gamma < beta, got gamma=1.0, beta=1.0"),
     ("learn", LEARN_CFG.replace("constant:0.4", "constant:0.05|constant:0.1"),
      "config error: domain.initials needs 1 '|'-separated profiles, got 2"),
 ], ids=["diffusion", "weights-simulate", "weights-check", "delta", "diffusion-learn", "kind",
         "levels-order-option", "levels-start-option", "levels-order-config",
-        "levels-start-config", "lam0", "q", "gamma-beta", "initials"])
+        "levels-start-config", "lam0", "q", "noise", "diffusion-floor", "widths-positive",
+        "gamma-beta", "initials"])
 def test_inconsistent_values_exit_2_and_name_the_key(command, text, named, tmp_path, capsys):
     cfg = write(tmp_path, text)
     code = main(command.split() + ["--config", cfg, "--out", str(tmp_path / "o")])
