@@ -7,7 +7,7 @@ a manifest of content hashes. Reruns with the same config and seed are
 byte-identical; there is nothing interactive here.
 
 Exit codes: 0 on success, 2 for configuration problems, 1 for runtime
-failures (instability, blow-up).
+failures (instability, blow-up, an output that cannot be written).
 """
 
 from __future__ import annotations
@@ -148,14 +148,15 @@ class ExperimentConfig:
 
 @contextmanager
 def _atomic_file(path: str):
-    """Text handle on a temp file beside path, renamed onto path on success.
+    """Path of a temp file beside path, renamed onto path when the block
+    succeeds and removed when it raises, so a failed write leaves no file.
     The mode follows the umask as for open(); setting it is the only way to read it."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            os.umask(umask := os.umask(0))
-            os.chmod(tmp, 0o666 & ~umask)
-            yield fh
+        os.close(fd)
+        os.umask(umask := os.umask(0))
+        os.chmod(tmp, 0o666 & ~umask)
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -187,18 +188,21 @@ class OutputDir:
     def path(self, name: str) -> str:
         return os.path.join(self.root, self.prefix + name)
 
+    @contextmanager
+    def file(self, name: str):
+        """Temp path for the output file `name`, renamed into place and listed
+        in the manifest when the block succeeds."""
+        with _atomic_file(self.path(name)) as tmp:
+            yield tmp
+        self.written.append(self.prefix + name)
+
     def write_csv(self, name: str, header, rows) -> str:
         """Stream a CSV file; a row is a tuple of values or a str of formatted lines."""
-        path = self.path(name)
-        with _atomic_file(path) as fh:
+        with self.file(name) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
                 fh.write(row if isinstance(row, str) else ",".join(map(_fmt, row)) + "\n")
-        self.written.append(self.prefix + name)
-        return path
-
-    def note(self, name: str) -> None:
-        self.written.append(self.prefix + name)
+        return self.path(name)
 
     def finish(self) -> str:
         lines = []
@@ -209,7 +213,7 @@ class OutputDir:
                     digest.update(block)
             lines.append(f"{digest.hexdigest()}  {name}\n")
         path = self.path("manifest.txt")
-        with _atomic_file(path) as fh:
+        with _atomic_file(path) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(lines)
         return path
 
@@ -533,12 +537,9 @@ def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) 
         (row.as_tuple() for row in rows),
     )
     for sched, res in zip(scheds, results):
-        mlp = MLPReaction(widths, res.theta, level=sched.m)
-        name = f"params_m{sched.m}.txt"
-        tmp = out.path(name) + ".tmp"
-        save_params(tmp, mlp, seed=args.seed, eps=sched.eps)
-        os.replace(tmp, out.path(name))
-        out.note(name)
+        with out.file(f"params_m{sched.m}.txt") as tmp:
+            save_params(tmp, MLPReaction(widths, res.theta),
+                        level=sched.m, seed=args.seed, eps=sched.eps)
     out.finish()
     for sched, row, res in zip(scheds, rows, results):
         print(f"level {row.m}: sup error {row.sup_error:.4f}, "
@@ -614,7 +615,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,8 +12,8 @@ fbar_n = P_+(f_n) there: quasipositivity holds by construction, with no
 tolerance. Away from the cutoff support fbar_n = f_n bit-exactly.
 
 The construction keeps the other consistency conditions with explicit
-constants (weights c_n supplied, default all ones, L a Lipschitz bound of
-the base term, beta_n = |f_n(0)|):
+constants (mass weights c_n given to `consistency_constants`, default all
+ones, L a Lipschitz bound of the base term, beta_n = |f_n(0)|):
 
     mass control   K_0 = sum_n c_n P_+(f_n(0)),  K_1 = L sqrt(N) sum_n c_n,
     growth         K   = 4 max(L, max_n |f_n(0)|),
@@ -123,13 +123,12 @@ class ConsistentReaction(ReactionTerm):
     of every component.
     """
 
-    def __init__(self, base: ReactionTerm, chi: TransitionFunction, c=None, lipschitz=None):
+    def __init__(self, base: ReactionTerm, chi: TransitionFunction, lipschitz=None):
         if not isinstance(chi, TransitionFunction):
             raise TypeError(f"chi must be one TransitionFunction, got {type(chi).__name__}")
         self.base = base
         self.n_species = base.n_species
         self.chi = chi
-        self.c = as_weights(c, self.n_species)
         self._given_lip = None if lipschitz is None else (float(lipschitz), "sampled")
 
     @cached_property
@@ -223,7 +222,8 @@ class ConsistentReaction(ReactionTerm):
     # -- derived constants ----------------------------------------------
 
     def consistency_constants(self, c=None) -> ConsistencyConstants:
-        c = self.c if c is None else as_weights(c, self.n_species)
+        """Mass-control and growth constants for the weights c, all ones by default."""
+        c = as_weights(c, self.n_species)
         L, label = self._lip
         K0, K1, K = mass_growth_constants(self.base.eval(np.zeros(self.n_species)), L, c)
         return ConsistencyConstants(K0, K1, K, L, label)
@@ -248,7 +248,7 @@ class ConsistentReaction(ReactionTerm):
         return f"ConsistentReaction(base={self.base!r}, chi={self.chi!r})"
 
 
-def wrap(f: ReactionTerm, chi, c=None, lipschitz=None) -> ConsistentReaction:
+def wrap(f: ReactionTerm, chi, lipschitz=None) -> ConsistentReaction:
     """Wrap a Lipschitz reaction term into a physically consistent one.
 
     Parameters
@@ -260,12 +260,10 @@ def wrap(f: ReactionTerm, chi, c=None, lipschitz=None) -> ConsistentReaction:
         constants are flagged unavailable.
     chi : TransitionFunction
         The cutoff of every component; any other type raises TypeError.
-    c : array, optional
-        Positive mass-control weights c_n, default all ones.
     lipschitz : float, optional
         Externally supplied Lipschitz bound (labelled "sampled").
     """
-    return ConsistentReaction(f, chi, c=c, lipschitz=lipschitz)
+    return ConsistentReaction(f, chi, lipschitz=lipschitz)
 
 
 @dataclass(frozen=True)
@@ -299,8 +297,8 @@ class WrapperSchedule:
             raise ValueError(f"level index must be >= 1, got {m}")
         return float(m) ** (-self.gamma)
 
-    def chi(self, m: int, kernel=None) -> TransitionFunction:
-        return build_mollified_heaviside(self.eps(m), kernel)
+    def chi(self, m: int) -> TransitionFunction:
+        return build_mollified_heaviside(self.eps(m))
 
     @property
     def preserved_rate(self) -> float:

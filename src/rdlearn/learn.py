@@ -589,7 +589,7 @@ def identification_sweep(f_true, d_true: float, u0_profiles, grid: SpaceTimeGrid
                          schedules, operators, widths, *, box_lo=BOX[0],
                          box_hi=BOX[1], seed: int = 0, step: float = STEP,
                          max_iters: int = MAX_ITERS, sup_points: int = SUP_POINTS,
-                         error_nodes: int = 481, lipschitz=None):
+                         lipschitz=None):
     """Recover a known scalar reaction at increasing measurement quality.
 
     For each level: simulate the truth from every initial profile, measure
@@ -611,7 +611,8 @@ def identification_sweep(f_true, d_true: float, u0_profiles, grid: SpaceTimeGrid
               for u0 in u0_profiles]
 
     lo, hi = as_box(box_lo, box_hi, n)
-    probe = np.linspace(lo[0], hi[0], error_nodes)[:, None] if n == 1 else \
+    # the sup error's points: 481 even nodes for one species, else 4096 Halton points per species
+    probe = np.linspace(lo[0], hi[0], 481)[:, None] if n == 1 else \
         halton_box(4096 * n, lo, hi, seed=1)
     true_vals = f_true.eval(probe)
 

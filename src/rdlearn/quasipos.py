@@ -105,28 +105,29 @@ class BoundaryLayer:
             raise ValueError("point outside the domain box")
         return pts, single
 
+    def _level(self, pts: np.ndarray) -> np.ndarray:
+        """Level values of a batch that `_normalize` has already checked."""
+        if self.mode == "metric":
+            return pts.min(axis=1)
+        if self.mode == "componentwise":
+            return np.abs(pts[:, self.component])
+        return np.prod(section_profile(pts), axis=1)
+
     def level_value(self, points) -> np.ndarray:
         """The scalar compared against eps to decide membership."""
         pts, single = self._normalize(points)
-        if self.mode == "metric":
-            out = pts.min(axis=1)
-        elif self.mode == "componentwise":
-            out = np.abs(pts[:, self.component])
-        else:
-            out = np.prod(section_profile(pts), axis=1)
+        out = self._level(pts)
         return out[0] if single else out
 
     def members(self, points) -> np.ndarray:
         """Vectorized membership over a batch of domain points."""
-        pts, _ = self._normalize(points)
-        value = self.level_value(pts)
+        value = self._level(self._normalize(points)[0])
         if self.mode == "metric":
             return value < self.eps
         return value <= self.eps
 
     def member(self, x) -> bool:
-        pts, _ = self._normalize(x)
-        return bool(self.members(pts)[0])
+        return bool(self.members(x)[0])
 
 
 @dataclass(frozen=True)
@@ -169,9 +170,6 @@ class BoundaryMeasure:
             return 1.0 - (1.0 - min(x, 1.0)) ** self.dim
         return self.estimate(x)[0]
 
-    def __call__(self, x: float) -> float:
-        return self.measure(x)
-
     def estimate(self, x: float) -> tuple[float, float]:
         """(sampled volume, half-width), available on any box."""
         x = float(x)
@@ -179,13 +177,20 @@ class BoundaryMeasure:
             raise ValueError(f"layer width must be >= 0, got {x}")
         if x == 0.0:
             return 0.0, 0.0
-        pts = halton_box(self.samples, np.zeros(self.dim), np.asarray(self.hi),
-                         seed=self.seed)
-        inside = pts.min(axis=1) < x
-        vol = float(np.prod(self.hi))
-        p = float(inside.mean())
-        half = vol * math.sqrt(max(p * (1.0 - p), 0.0) / self.samples)
-        return vol * p, half
+        return _sampled_volume(BoundaryLayer(x, hi=self.hi), self.samples, self.seed)
+
+
+def _sampled_volume(layer: BoundaryLayer, samples: int, seed: int) -> tuple[float, float]:
+    """(volume, half-width) of a layer on its box [0, hi].
+
+    The volume is the box volume times the fraction p of `samples` seeded
+    Halton points that are members; the half-width is one standard error
+    of that mean, vol * sqrt(p (1 - p) / samples).
+    """
+    pts = halton_box(samples, np.zeros(layer.dim), np.asarray(layer.hi), seed=seed)
+    vol = float(np.prod(layer.hi))
+    p = float(layer.members(pts).mean())
+    return vol * p, vol * math.sqrt(p * (1.0 - p) / samples)
 
 
 @dataclass(frozen=True)
@@ -199,7 +204,7 @@ class ModifiedFunction:
     def __call__(self, points) -> np.ndarray:
         pts, single = self.layer._normalize(points)
         v = np.asarray(self.base(pts), dtype=float).reshape(pts.shape[0])
-        out = lift(v, self.chi(self.layer.level_value(pts)))
+        out = lift(v, self.chi(self.layer._level(pts)))
         return out[0] if single else out
 
 
@@ -374,14 +379,7 @@ def nonlinear_volume_report(dim: int, eps: float = 1.0,
     if any(b2 <= b1 for b1, b2 in zip(box_sizes, box_sizes[1:])):
         raise ValueError("box sizes must increase strictly")
     layer = BoundaryLayer(eps=eps, mode="nonlinear", dim=int(dim))
-    estimates = []
-    halfwidths = []
-    for size in box_sizes:
-        pts = halton_box(samples, np.zeros(dim), np.full(dim, size), seed=seed)
-        inside = layer.members(pts)
-        vol = size ** dim
-        p = float(inside.mean())
-        estimates.append(vol * p)
-        halfwidths.append(vol * math.sqrt(max(p * (1.0 - p), 0.0) / samples))
-    return VolumeReport(np.array(box_sizes), np.array(estimates),
-                        np.array(halfwidths))
+    found = np.array([_sampled_volume(dataclasses.replace(layer, hi=(size,) * layer.dim),
+                                      samples, seed)
+                      for size in box_sizes]).reshape(-1, 2)
+    return VolumeReport(np.array(box_sizes), found[:, 0], found[:, 1])

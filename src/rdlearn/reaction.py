@@ -219,11 +219,9 @@ class MLPReaction(ReactionTerm):
         Layer widths, e.g. (N, 16, 16, N).
     theta : ndarray
         Flat parameter vector, weights then bias per layer.
-    level : int, optional
-        Level index m when the instance belongs to a level-indexed family.
     """
 
-    def __init__(self, widths, theta, level=None):
+    def __init__(self, widths, theta):
         widths = tuple(int(w) for w in widths)
         if len(widths) < 2:
             raise ValueError("need at least an input and an output width")
@@ -243,7 +241,6 @@ class MLPReaction(ReactionTerm):
             )
         theta.flags.writeable = False
         self.theta = theta
-        self.level = level
         self._layers = self._unpack(theta)
 
     @staticmethod
@@ -262,7 +259,7 @@ class MLPReaction(ReactionTerm):
         return layers
 
     @classmethod
-    def from_seed(cls, widths, seed, scale=1.0, **kw):
+    def from_seed(cls, widths, seed, scale=1.0):
         """Random instance: weights ~ N(0, scale^2/fan_in), zero biases."""
         widths = tuple(int(w) for w in widths)
         rng = np.random.default_rng(seed)
@@ -270,11 +267,11 @@ class MLPReaction(ReactionTerm):
         for n_in, n_out in zip(widths[:-1], widths[1:]):
             parts.append(rng.normal(0.0, scale / np.sqrt(n_in), size=n_in * n_out))
             parts.append(np.zeros(n_out))
-        return cls(widths, np.concatenate(parts), **kw)
+        return cls(widths, np.concatenate(parts))
 
     def with_theta(self, theta) -> "MLPReaction":
-        """Same architecture and metadata, new parameters."""
-        return MLPReaction(self.widths, theta, level=self.level)
+        """Same architecture, new parameters."""
+        return MLPReaction(self.widths, theta)
 
     def forward(self, U):
         """The forward pass over a batch (S, N), kept as a tape.
@@ -411,19 +408,22 @@ class MLPReaction(ReactionTerm):
         return float(out)
 
     def __repr__(self):
-        return (f"MLPReaction(widths={self.widths}, level={self.level}, "
-                f"params={self.theta.size})")
+        return f"MLPReaction(widths={self.widths}, params={self.theta.size})"
 
 
-def save_params(path, mlp: MLPReaction, seed=0, eps=None):
-    """Write an MLPReaction to a flat-list text file with an 8-line header."""
+def save_params(path, mlp: MLPReaction, *, level: int, seed: int, eps: float):
+    """Write an MLPReaction to a flat-list text file with an 8-line header.
+
+    The header carries the run's metadata, the level m, the seed and the
+    cutoff's eps, which `load_params` returns beside the network.
+    """
     lines = [
         "# reaction parameter file",
         f"# species: {mlp.n_species}",
         f"# widths: {','.join(str(w) for w in mlp.widths)}",
-        f"# level: {mlp.level if mlp.level is not None else 0}",
+        f"# level: {level}",
         f"# seed: {seed}",
-        f"# eps: {eps if eps is not None else 0.0:.17g}",
+        f"# eps: {eps:.17g}",
         f"# count: {mlp.theta.size}",
         "# values: float64 text, one per line",
     ]
@@ -449,10 +449,9 @@ def load_params(path):
         raise ValueError(
             f"{path}: header promises {meta['count']} values, found {theta.size}"
         )
-    level = int(meta["level"]) or None
-    mlp = MLPReaction(widths, theta, level=level)
-    return mlp, {"seed": int(meta["seed"]), "eps": float(meta["eps"]),
-                 "species": int(meta["species"])}
+    return MLPReaction(widths, theta), {
+        "level": int(meta["level"]), "seed": int(meta["seed"]),
+        "eps": float(meta["eps"]), "species": int(meta["species"])}
 
 
 @dataclass

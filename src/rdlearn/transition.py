@@ -46,19 +46,24 @@ import numpy as np
 _PANELS = 32_768  # a power of two, so the nodes and the scaling by _PANELS / 2 are exact
 
 
-def _bump_raw(x: np.ndarray) -> np.ndarray:
-    """Unnormalized bump exp(1/(x^2-1)) on (-1, 1), zero outside."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    inside = np.abs(x) < 1.0
-    xi = x[inside]
-    with np.errstate(under="ignore"):
-        out[inside] = np.exp(1.0 / (xi * xi - 1.0))
-    return out
+def _bump(x) -> np.ndarray:
+    """Unnormalized bump exp(1/(x^2-1)) on (-1, 1), zero outside; NaN stays NaN.
+
+    x is clipped to [-1, 1], and the exponent is written -1/(1 - x^2), the
+    same bits as 1/(x^2 - 1), so at x = +-1 it is -1/+0 = -inf and the bump
+    exactly 0.0, with no mask.
+    """
+    z = np.minimum(np.maximum(x, -1.0), 1.0)
+    with np.errstate(divide="ignore", under="ignore"):
+        return np.exp(-1.0 / (1.0 - z * z))
 
 
 class MollifierKernel:
     """Normalized bump kernel with a tabulated antiderivative.
+
+    Calling it evaluates eta, on the one clipped path of `_bump`, which the
+    table build and chi' share; `integral_of` evaluates E. eta' is not
+    evaluated anywhere: its sup is a closed form.
 
     Attributes
     ----------
@@ -74,14 +79,15 @@ class MollifierKernel:
     sup_value : float
         sup eta = eta(0) = c_eta / e.
     sup_abs_derivative : float
-        sup |eta'| = |eta'(3^(-1/4))|: (log |eta'|)' vanishes where 3 x^4 = 1.
+        sup |eta'| = |eta'(x*)| = eta(x*) 2 x* / (x*^2 - 1)^2 at x* = 3^(-1/4),
+        where (log |eta'|)' vanishes (3 x^4 = 1).
     """
 
     def __init__(self):
         h = 2.0 / _PANELS
         nodes = -1.0 + h * np.arange(_PANELS + 1)
-        raw = _bump_raw(nodes)
-        mid = _bump_raw(nodes[:-1] + 0.5 * h)
+        raw = _bump(nodes)
+        mid = _bump(nodes[:-1] + 0.5 * h)
         cumulative = np.concatenate(([0.0], np.cumsum(h / 6.0 * (raw[:-1] + 4.0 * mid + raw[1:]))))
         # normalizing by the last partial sum puts exactly 1.0 at x = 1
         self.c_eta = 1.0 / cumulative[-1]
@@ -95,21 +101,13 @@ class MollifierKernel:
             slope[:-1] + slope[1:] - 2.0 * rise,
         )).T
         self.sup_value = self.c_eta * np.exp(-1.0)
-        self.sup_abs_derivative = float(-self.derivative(np.array([3.0 ** -0.25]))[0])
+        x = 3.0 ** -0.25
+        q = x * x - 1.0
+        self.sup_abs_derivative = float(self(x) * (2.0 * x) / (q * q))
 
     def __call__(self, x) -> np.ndarray:
-        """Evaluate eta(x), vectorized; exact zeros outside (-1, 1)."""
-        return self.c_eta * _bump_raw(x)
-
-    def derivative(self, x) -> np.ndarray:
-        """eta'(x) = eta(x) * (-2x) / (x^2 - 1)^2, zero outside (-1, 1)."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        inside = np.abs(x) < 1.0
-        xi = x[inside]
-        q = xi * xi - 1.0
-        out[inside] = self(xi) * (-2.0 * xi) / (q * q)
-        return out
+        """Evaluate eta(x), vectorized; exact zeros outside (-1, 1), NaN stays NaN."""
+        return self.c_eta * _bump(x)
 
     def integral_of(self, x) -> np.ndarray:
         """E(x) with exact plateaus: 0 for x <= -1, 1 for x >= 1; NaN stays NaN.
@@ -172,14 +170,11 @@ class TransitionFunction:
         return 1.0 - self.kernel.integral_of((np.asarray(x, dtype=float) - self.eps) / self.delta)
 
     def derivative(self, x) -> np.ndarray:
-        """chi'(x) = -eta((x - eps)/delta) / delta on the clipped z, with no
-        masks; NaN stays NaN. Every zero is +0.0: the slope is subtracted
-        from 0.0, not negated, since an x at eps + delta may round to a z
-        just inside the ramp, where the bump underflows."""
-        z = np.minimum(np.maximum((np.asarray(x, dtype=float) - self.eps) / self.delta, -1.0), 1.0)
-        with np.errstate(divide="ignore", under="ignore"):
-            slope = self.kernel.c_eta * np.exp(1.0 / (z * z - 1.0)) / self.delta
-        return np.where(np.abs(z) >= 1.0, 0.0, 0.0 - slope)
+        """chi'(x) = -eta((x - eps)/delta) / delta, through the kernel's one
+        clipped path; NaN stays NaN. Every zero is +0.0: the slope is
+        subtracted from 0.0, not negated, since off the ramp (and where the
+        bump underflows just inside it) eta is +0.0."""
+        return 0.0 - self.kernel((np.asarray(x, dtype=float) - self.eps) / self.delta) / self.delta
 
     @property
     def slope_bound(self) -> float:

@@ -363,6 +363,29 @@ def test_output_files_follow_the_umask(tmp_path):
     assert modes == dict.fromkeys(modes, 0o644)
 
 
+def test_a_failed_params_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
+    """A parameter file goes through the same atomic write as the CSVs: a
+    writer that fails halfway leaves neither the file nor its temp name."""
+    def failing(path, mlp, **meta):
+        with open(path, "w") as fh:
+            fh.write("# reaction parameter file\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr("rdlearn.cli.save_params", failing)
+    cfg = write(tmp_path, LEARN_CFG.replace("strides = 4,2,1", "strides = 2"))
+    out = tmp_path / "o"
+    assert main(["learn", "--config", cfg, "--out", str(out), "--levels", "2"]) == 1
+    assert capsys.readouterr().err == "error: disk full\n"
+    assert os.listdir(out) == ["results.csv"]
+
+
+def test_an_unwritable_output_directory_exits_1(tmp_path, capsys):
+    (tmp_path / "taken").write_text("a file, not a directory\n")
+    assert main(["transition", "--out", str(tmp_path / "taken" / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "taken" in err
+
+
 # ---------------------------------------------------------------------------
 # the study subcommands
 

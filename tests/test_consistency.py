@@ -249,7 +249,7 @@ def test_a_batch_with_no_negative_value_reads_no_cutoff(monkeypatch):
 def test_weight_validation():
     f = make_reaction("fisher-kpp")
     with pytest.raises(ValueError, match="positive"):
-        wrap(f, build_mollified_heaviside(0.2), c=[0.0])
+        wrap(f, build_mollified_heaviside(0.2)).consistency_constants(c=[0.0])
 
 
 def test_jacobian_matches_finite_differences_away_from_kinks():
@@ -373,14 +373,16 @@ def test_constants_certified_for_parameterized():
 
 
 @pytest.mark.parametrize("c", [[-1.0, 0.0], [1.0]], ids=["nonpositive", "short"])
-def test_constants_reject_the_weights_wrap_rejects(c):
+def test_constants_reject_the_weights_check_conditions_rejects(c):
+    """Mass weights are given where mass is measured, and both places
+    reject a bad one with the same message."""
     mlp = MLPReaction.from_seed((2, 4, 2), seed=0)
-    chi = build_mollified_heaviside(0.2)
-    with pytest.raises(ValueError) as at_wrap:
-        wrap(mlp, chi, c=c)
+    wrapped = wrap(mlp, build_mollified_heaviside(0.2))
+    with pytest.raises(ValueError) as at_check:
+        check_conditions(wrapped, [0.0, 0.0], [1.0, 1.0], samples=10, c=c)
     with pytest.raises(ValueError) as at_constants:
-        wrap(mlp, chi).consistency_constants(c=c)
-    assert str(at_constants.value) == str(at_wrap.value)
+        wrapped.consistency_constants(c=c)
+    assert str(at_constants.value) == str(at_check.value)
 
 
 def test_local_lipschitz_profile():
@@ -402,7 +404,7 @@ def test_mass_inequality_with_derived_constants():
     cons = g.consistency_constants()
     rng = np.random.default_rng(5)
     U = np.abs(rng.normal(size=(5000, 3)))
-    margin = g.eval(U) @ g.c - (cons.K0 + cons.K1 * U.sum(axis=1))
+    margin = g.eval(U) @ np.ones(3) - (cons.K0 + cons.K1 * U.sum(axis=1))
     assert margin.max() < 0.0
 
 

@@ -552,7 +552,7 @@ def test_identification_sweep_runs_the_level_loop():
     ops = [MeasurementOperator("full") for _ in scheds]
     rows, results = identification_sweep(
         fisher, 0.05, u0, grid, scheds, ops, (1, 4, 1), seed=0,
-        step=0.05, max_iters=40, sup_points=32, error_nodes=41)
+        step=0.05, max_iters=40, sup_points=32)
     assert [r.m for r in rows] == [1, 2, 3]
     for row, res in zip(rows, results):
         assert np.isfinite(row.sup_error) and row.sup_error > 0.0

@@ -106,16 +106,16 @@ def test_layer_validation():
 
 def test_unit_cube_measure_closed_form():
     phi2 = BoundaryMeasure([1.0, 1.0])
-    assert phi2(0.5) == 0.75
-    assert phi2(0.0) == 0.0
-    assert phi2(2.0) == 1.0  # saturates once the layer swallows the cube
+    assert phi2.measure(0.5) == 0.75
+    assert phi2.measure(0.0) == 0.0
+    assert phi2.measure(2.0) == 1.0  # saturates once the layer swallows the cube
     phi3 = BoundaryMeasure([1.0, 1.0, 1.0])
-    assert phi3(0.1) == pytest.approx(0.271, rel=1e-12)
+    assert phi3.measure(0.1) == pytest.approx(0.271, rel=1e-12)
     widths = np.linspace(0.0, 1.2, 50)
-    vals = [phi3(w) for w in widths]
+    vals = [phi3.measure(w) for w in widths]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     with pytest.raises(ValueError, match=">= 0"):
-        phi3(-0.1)
+        phi3.measure(-0.1)
 
 
 def test_measure_monte_carlo_matches_closed_form():
@@ -135,7 +135,7 @@ def test_measure_general_box_against_offset_oracle():
         exact = np.prod(hi) - np.prod([max(h - x, 0.0) for h in hi])
         est, half = phi.estimate(x)
         assert abs(est - exact) <= 3.0 * half
-        assert phi(x) == est  # measure falls back to the estimate off the cube
+        assert phi.measure(x) == est  # measure falls back to the estimate off the cube
 
 
 def test_modify_keeps_nonnegative_functions():
@@ -244,7 +244,7 @@ def test_approximation_experiment_lp_bound():
     )
     phi = BoundaryMeasure([1.0, 1.0])
     for i, m in enumerate(study.levels):
-        ceiling = study.raw_error[i] + (1.0 / m) * phi(study.eps[i] + study.delta[i]) ** 0.5
+        ceiling = study.raw_error[i] + (1.0 / m) * phi.measure(study.eps[i] + study.delta[i]) ** 0.5
         assert study.modified_error[i] <= ceiling + 1e-9
 
 

@@ -326,14 +326,14 @@ def test_unknown_catalog_name():
 
 
 def test_parameter_file_roundtrip(tmp_path):
-    mlp = MLPReaction.from_seed((1, 6, 1), seed=9, level=3)
+    mlp = MLPReaction.from_seed((1, 6, 1), seed=9)
     path = tmp_path / "weights.params"
-    save_params(path, mlp, seed=9, eps=0.5)
+    save_params(path, mlp, level=3, seed=9, eps=0.5)
+    assert path.read_text().splitlines()[3] == "# level: 3"
     back, meta = load_params(path)
     assert np.array_equal(back.theta, mlp.theta)
     assert back.widths == mlp.widths
-    assert back.level == 3
-    assert meta == {"seed": 9, "eps": 0.5, "species": 1}
+    assert meta == {"level": 3, "seed": 9, "eps": 0.5, "species": 1}
 
 
 def test_parameter_file_header_validation(tmp_path):

@@ -118,6 +118,9 @@ def test_non_finite_input_is_not_hidden_by_the_plateaus():
     assert np.isnan(value[0]) and np.isnan(slope[0])
     assert np.isnan(chi(np.nan)) and np.isnan(chi.derivative(np.nan))
     assert np.isnan(chi.kernel.integral_of(x)).tolist() == [True] + [False] * 4
+    eta = chi.kernel(x)
+    assert np.isnan(eta[0]) and np.isnan(chi.kernel(np.nan))
+    assert eta[1:3].tolist() == [0.0, 0.0] and eta[3] > 0.0 and eta[4] == 0.0
     # +-inf and the plateaus stay bitwise +1.0 / +0.0
     assert value[1:].view(np.uint64).tolist() == np.array([1.0, 0.0, 1.0, 0.0]).view(np.uint64).tolist()
     assert slope[1:].view(np.uint64).tolist() == np.zeros(4).view(np.uint64).tolist()
@@ -184,6 +187,16 @@ def test_table_end_panels_are_exact_plateaus():
     assert coef[-1].tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
+def masked_eta(kernel, z):
+    """eta(z) = c_eta exp(1/(z^2 - 1)) written out on a boolean mask of
+    (-1, 1), zero outside; it reads only c_eta from the kernel."""
+    out = np.zeros_like(z)
+    inside = np.abs(z) < 1.0
+    with np.errstate(under="ignore"):
+        out[inside] = kernel.c_eta * np.exp(1.0 / (z[inside] * z[inside] - 1.0))
+    return out
+
+
 def masked_derivative(chi, x):
     """chi' gathered and scattered through a boolean ramp mask: the
     reference for the clipped path."""
@@ -191,7 +204,7 @@ def masked_derivative(chi, x):
     ramp = (x > chi.eps - chi.delta) & (x < chi.eps + chi.delta)
     out = np.zeros_like(x)
     out[np.isnan(x)] = np.nan
-    out[ramp] = -chi.kernel((x[ramp] - chi.eps) / chi.delta) / chi.delta
+    out[ramp] = -masked_eta(chi.kernel, (x[ramp] - chi.eps) / chi.delta) / chi.delta
     return out
 
 
@@ -245,6 +258,17 @@ def test_slope_bound_sandwich():
     assert max(vals) / min(vals) < 2.0
     # the midpoint slope is exactly eta(0)/delta = 2*eta(0)/eps
     assert vals[0] == pytest.approx(2.0 * k.sup_value, rel=1e-12)
+
+
+def test_sup_abs_derivative_is_the_maximum_of_eta_prime():
+    """The closed form eta(x*) 2 x* / (x*^2 - 1)^2 at x* = 3^(-1/4) bounds
+    |eta'| = eta 2|z| / (z^2 - 1)^2 on a dense grid and is met there to 1e-9."""
+    k = default_kernel()
+    z = np.linspace(-1.0, 1.0, 200_001)[1:-1]
+    q = z * z - 1.0
+    slope = masked_eta(k, z) * 2.0 * np.abs(z) / (q * q)
+    assert slope.max() <= k.sup_abs_derivative * (1.0 + 1e-15)
+    assert slope.max() >= k.sup_abs_derivative * (1.0 - 1e-9)
 
 
 def test_general_half_width():
