@@ -18,7 +18,8 @@ import hashlib
 import os
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
+from dataclasses import astuple
 from importlib import resources
 
 import numpy as np
@@ -177,13 +178,19 @@ def _fmt(value) -> str:
 
 
 class OutputDir:
-    """Collects written files and finishes with a hash manifest."""
+    """Collects written files and finishes with a hash manifest.
+
+    A previous run's manifest is removed on opening, so a manifest that is
+    present always matches the files of the run that wrote it.
+    """
 
     def __init__(self, root: str, prefix: str = ""):
         os.makedirs(root, exist_ok=True)
         self.root = root
         self.prefix = prefix
         self.written = []
+        with suppress(FileNotFoundError):
+            os.unlink(self.path("manifest.txt"))
 
     def path(self, name: str) -> str:
         return os.path.join(self.root, self.prefix + name)
@@ -395,8 +402,7 @@ def _cmd_check(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) 
     rows = [("quasipositivity", int(report.quasipos_ok))]
     if report.mass_ok is not None:
         rows.append(("mass_control", int(report.mass_ok)))
-    if report.growth_ok is not None:
-        rows.append(("growth", int(report.growth_ok)))
+    rows.append(("growth", int(report.growth_ok)))
     out.write_csv("conditions.csv", ["condition", "ok"], rows)
     out.finish()
     print(report.summary())
@@ -534,7 +540,7 @@ def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) 
     out.write_csv(
         "results.csv",
         ["m", "objective", "residual_term", "misfit_term", "sup_error_f", "D_error"],
-        (row.as_tuple() for row in rows),
+        map(astuple, rows),
     )
     for sched, res in zip(scheds, results):
         with out.file(f"params_m{sched.m}.txt") as tmp:

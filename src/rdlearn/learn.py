@@ -62,12 +62,13 @@ def _cosine_basis(grid: SpaceTimeGrid, modes: int) -> np.ndarray:
 class MeasurementOperator:
     """Linear observation map on trajectories.
 
-    kind "full" returns the grid state unchanged; "subsample" keeps every
-    stride-th node and time step; "fourier" projects each time sample onto
-    the first `modes` cosine modes (weighted inner products, so the map
-    stays linear and its adjoint is explicit). Every method acts on the
-    last two axes (time, nodes) and maps any leading axes through, so one
-    call measures a whole (trajectories, species, ...) block.
+    kind "subsample" keeps every stride-th node and time step, and "full"
+    is the stride-1 subsample, which returns the grid state unchanged;
+    "fourier" projects each time sample onto the first `modes` cosine
+    modes (weighted inner products, so the map stays linear and its
+    adjoint is explicit). Every method acts on the last two axes (time,
+    nodes) and maps any leading axes through, so one call measures a
+    whole (trajectories, species, ...) block.
     """
 
     kind: str = "full"
@@ -94,41 +95,36 @@ class MeasurementOperator:
 
     def apply(self, u: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
         """Measure states of shape (..., steps+1, nodes)."""
-        if self.kind == "full":
-            return np.array(u)
-        if self.kind == "subsample":
-            return np.array(u[..., :: self.stride, :: self.stride])
-        phi = _cosine_basis(grid, self.modes)
-        return (u * grid.quadrature_weights()) @ phi
+        if self.kind == "fourier":
+            phi = _cosine_basis(grid, self.modes)
+            return (u * grid.quadrature_weights()) @ phi
+        return np.array(u[..., :: self.stride, :: self.stride])
 
     def adjoint(self, y: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
         """Transpose of apply, back onto the full grid."""
-        if self.kind == "full":
-            return np.array(y)
-        if self.kind == "subsample":
-            out = np.zeros(y.shape[:-2] + (grid.steps + 1, grid.nodes[0]))
-            out[..., :: self.stride, :: self.stride] = y
-            return out
-        phi = _cosine_basis(grid, self.modes)
-        return (y @ phi.T) * grid.quadrature_weights()
+        if self.kind == "fourier":
+            phi = _cosine_basis(grid, self.modes)
+            return (y @ phi.T) * grid.quadrature_weights()
+        out = np.zeros(y.shape[:-2] + (grid.steps + 1, grid.nodes[0]))
+        out[..., :: self.stride, :: self.stride] = y
+        return out
 
     def reconstruct(self, y: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
         """Cheap full-grid guess from data, for optimizer warm starts."""
-        if self.kind == "full":
-            return np.array(y)
-        if self.kind == "subsample":
-            # piecewise linear in x along each kept time row, then in t
-            s = self.stride
-            K, M = grid.steps, grid.nodes[0]
-            in_x = np.apply_along_axis(
-                lambda row: np.interp(np.arange(M), np.arange(0, M, s), row), -1, y)
-            return np.apply_along_axis(
-                lambda col: np.interp(np.arange(K + 1), np.arange(0, K + 1, s), col),
-                -2, in_x)
-        phi = _cosine_basis(grid, self.modes)
-        gram = phi.T @ (grid.quadrature_weights()[:, None] * phi)
-        coeff = np.linalg.solve(gram, y.reshape(-1, self.modes).T)
-        return (phi @ coeff).T.reshape(y.shape[:-1] + (grid.nodes[0],))
+        if self.kind == "fourier":
+            phi = _cosine_basis(grid, self.modes)
+            gram = phi.T @ (grid.quadrature_weights()[:, None] * phi)
+            coeff = np.linalg.solve(gram, y.reshape(-1, self.modes).T)
+            return (phi @ coeff).T.reshape(y.shape[:-1] + (grid.nodes[0],))
+        # piecewise linear in x along each kept time row, then in t; at
+        # stride 1 np.interp returns its node values bit for bit
+        s = self.stride
+        K, M = grid.steps, grid.nodes[0]
+        in_x = np.apply_along_axis(
+            lambda row: np.interp(np.arange(M), np.arange(0, M, s), row), -1, y)
+        return np.apply_along_axis(
+            lambda col: np.interp(np.arange(K + 1), np.arange(0, K + 1, s), col),
+            -2, in_x)
 
 
 def generate_measurements(truth: StateField, operator: MeasurementOperator,
@@ -243,10 +239,11 @@ class AllAtOnceProblem:
     """Objective and gradient of the discretized joint recovery problem.
 
     Decision variables, packed flat in this order: diffusion coefficients
-    D (trajectories x species, clipped to the floor D_MIN = 1e-6 from below
-    by the optimizer), states u (trajectories x species x time x nodes),
-    initial conditions u0, network parameters theta. Everything else (data,
-    operator, schedule, quadrature rules on the reaction box) is fixed.
+    D (trajectories x species), states u (trajectories x species x time x
+    nodes), initial conditions u0, network parameters theta. The feasible
+    set is D >= D_MIN = 1e-6 and |theta| <= psi, and `project` maps a
+    packed point onto it. Everything else (data, operator, schedule,
+    quadrature rules on the reaction box) is fixed.
     All trajectories form one batch: each pass evaluates the network once
     over the points of every trajectory, and the trajectory terms are sums
     over the leading trajectory axis.
@@ -293,7 +290,7 @@ class AllAtOnceProblem:
         self._sup_cut = fixed.cutoffs(self._sup_pts)
         self._w = grid.quadrature_weights()
         self._tw = trapezoid_weights(grid.steps + 1, grid.dt)
-        self._last = None  # (x, terms, tape) of the last point evaluated
+        self._last = None  # (x, terms, reverse) of the last point evaluated
         K, M = grid.steps, grid.nodes[0]
         L, N = self.n_traj, self.n_species
         self._shapes = ((L, N), (L, N, K + 1, M), (L, N, M),
@@ -324,6 +321,18 @@ class AllAtOnceProblem:
             start += size
         return tuple(out)
 
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """The packed point projected onto the feasible set: D onto
+        [D_MIN, inf), then theta radially onto the psi ball. A float array
+        is projected in place and returned."""
+        x = np.asarray(x, dtype=float)
+        D, _, _, theta = self.unpack(x)
+        np.maximum(D, D_MIN, out=D)
+        tn = np.linalg.norm(theta)
+        if tn > self.schedule.psi:
+            theta *= self.schedule.psi / tn
+        return x
+
     def reaction(self, theta) -> ConsistentReaction:
         return wrap(self._mlp.with_theta(np.asarray(theta, dtype=float)), self.chi)
 
@@ -345,14 +354,19 @@ class AllAtOnceProblem:
         return dict(self._forward(x)[0])
 
     def gradient(self, x) -> np.ndarray:
-        return self._reverse(self._forward(x)[1])
+        return self._forward(x)[1]()
 
     def _forward(self, x):
-        """Objective terms at x and the tape that `_reverse` replays.
+        """Objective terms at x and the reverse pass that returns the packed
+        gradient there.
 
-        The terms and tape of the last point are kept with a copy of it, so
-        the gradient (or the terms) at the point a line search has just
-        accepted costs no second forward pass.
+        `reverse` closes over this pass's locals and writes into none of
+        them, so calling it again gives the same bytes. The terms and
+        reverse pass of the last point are kept with a copy of it, so the
+        gradient (or the terms) at the point a line search has just
+        accepted costs no second forward pass. `reverse` holds no reference
+        to the problem, so the kept copy makes no reference cycle and a
+        dropped problem is freed at once.
         """
         x = np.asarray(x, dtype=float)
         if (self._last is not None and self._last[0].shape == x.shape
@@ -366,6 +380,8 @@ class AllAtOnceProblem:
         K, M = grid.steps, grid.nodes[0]
         L, N = self.n_traj, self.n_species
         w, tw = self._w, self._tw
+        l2_pts, l2_w, sup_pts = self._l2_pts, self._l2_w, self._sup_pts
+        operator = self.operator
         fbar = self.reaction(theta)
         terms = {}
 
@@ -381,11 +397,11 @@ class AllAtOnceProblem:
         terms["theta_reg"] = sched.nu * tn
 
         # |fbar|^2 on the reaction box, fixed trapezoid rule
-        l2 = fbar.forward(self._l2_pts, self._l2_cut)
-        terms["reaction_l2"] = float(np.sum(self._l2_w * np.sum(l2.value ** 2, axis=1)))
+        l2 = fbar.forward(l2_pts, self._l2_cut)
+        terms["reaction_l2"] = float(np.sum(l2_w * np.sum(l2.value ** 2, axis=1)))
 
         # sampled sup of |grad fbar| on the box (Frobenius, lowest argmax)
-        J = fbar.jacobian(self._sup_pts, self._sup_cut)
+        J = fbar.jacobian(sup_pts, self._sup_cut)
         norms = np.sqrt(np.sum(J * J, axis=(1, 2)))
         idx = int(np.argmax(norms))
         terms["reaction_grad_sup"] = float(norms[idx])
@@ -403,64 +419,53 @@ class AllAtOnceProblem:
         d0 = u[:, :, 0] - u0
         terms["init_misfit"] = sched.lam * float(np.einsum("lnm,m->", d0 * d0, w))
 
-        dmis = self.operator.apply(u, grid) - self.data
+        dmis = operator.apply(u, grid) - self.data
         terms["data_misfit"] = sched.mu * float(np.sum(np.einsum("lnkm->l", dmis * dmis)))
 
         for name, value in terms.items():
             if not math.isfinite(value):
                 raise FloatingPointError(f"objective term '{name}' is not finite")
-        tape = (fbar, D, u, u0, theta, diff, tn, l2, idx, sup_cot,
-                pts, traj, res, lap_next, d0, dmis)
-        self._last = (x, terms, tape)
-        return terms, tape
 
-    def _reverse(self, tape) -> np.ndarray:
-        """The packed gradient, from the tape of one `_forward` pass."""
-        (fbar, D, u, u0, theta, diff, tn, l2, idx, sup_cot,
-         pts, traj, res, lap_next, d0, dmis) = tape
-        sched = self.schedule
-        grid = self.grid
-        dt, h = grid.dt, grid.h[0]
-        K, M = grid.steps, grid.nodes[0]
-        L, N = self.n_traj, self.n_species
-        w, tw = self._w, self._tw
+        def reverse() -> np.ndarray:
+            # sums start from +0.0, so an entry whose first term is -0.0
+            # comes out +0.0
+            gD = np.zeros_like(D)
+            gu = np.zeros_like(u)
+            gu0 = np.zeros_like(u0)
+            gth = np.zeros_like(theta)
 
-        # sums start from +0.0, so an entry whose first term is -0.0 comes
-        # out +0.0
-        gD = np.zeros_like(D)
-        gu = np.zeros_like(u)
-        gu0 = np.zeros_like(u0)
-        gth = np.zeros_like(theta)
+            gD += 2.0 * D
+            gu += 2.0 * tw[None, None, :, None] * u * w
+            dadj = np.zeros_like(u)
+            dadj[..., :-1] -= diff
+            dadj[..., 1:] += diff
+            gu += 2.0 * tw[None, None, :, None] * dadj / h
+            gu0 += 2.0 * u0 * w
+            if tn > 0.0:
+                gth += sched.nu * theta / tn
+            tg, _ = fbar.value_vjp(l2_pts, 2.0 * l2_w[:, None] * l2.value, l2)
+            gth += tg
+            if sup_cot is not None:
+                gth += fbar.jac_vjp(sup_pts[idx][None], sup_cot[None])
 
-        gD += 2.0 * D
-        gu += 2.0 * tw[None, None, :, None] * u * w
-        dadj = np.zeros_like(u)
-        dadj[..., :-1] -= diff
-        dadj[..., 1:] += diff
-        gu += 2.0 * tw[None, None, :, None] * dadj / h
-        gu0 += 2.0 * u0 * w
-        if tn > 0.0:
-            gth += sched.nu * theta / tn
-        tg, _ = fbar.value_vjp(self._l2_pts, 2.0 * self._l2_w[:, None] * l2.value, l2)
-        gth += tg
-        if sup_cot is not None:
-            gth += fbar.jac_vjp(self._sup_pts[idx][None], sup_cot[None])
+            G = sched.lam * 2.0 * dt * res * w
+            gu[:, :, 1:] += G / dt - D[:, :, None, None] * mirror_laplacian_transpose(G, h)
+            gu[:, :, :-1] -= G / dt
+            tg, ug = fbar.value_vjp(pts, -np.moveaxis(G, 1, -1).reshape(-1, N), traj)
+            gth += tg
+            gu[:, :, :-1] += np.moveaxis(ug.reshape(L, K, M, N), -1, 1)
+            gD -= np.einsum("lnkm,lnkm->ln", G, lap_next)
 
-        G = sched.lam * 2.0 * dt * res * w
-        gu[:, :, 1:] += G / dt - D[:, :, None, None] * mirror_laplacian_transpose(G, h)
-        gu[:, :, :-1] -= G / dt
-        tg, ug = fbar.value_vjp(pts, -np.moveaxis(G, 1, -1).reshape(-1, N), traj)
-        gth += tg
-        gu[:, :, :-1] += np.moveaxis(ug.reshape(L, K, M, N), -1, 1)
-        gD -= np.einsum("lnkm,lnkm->ln", G, lap_next)
+            gu[:, :, 0] += 2.0 * sched.lam * d0 * w
+            gu0 -= 2.0 * sched.lam * d0 * w
 
-        gu[:, :, 0] += 2.0 * sched.lam * d0 * w
-        gu0 -= 2.0 * sched.lam * d0 * w
+            gy = sched.mu * 2.0 * dmis
+            gu += operator.adjoint(gy, grid)
 
-        gy = sched.mu * 2.0 * dmis
-        gu += self.operator.adjoint(gy, grid)
+            return np.concatenate([g.reshape(-1) for g in (gD, gu, gu0, gth)])
 
-        return self.pack(gD, gu, gu0, gth)
+        self._last = (x, terms, reverse)
+        return terms, reverse
 
 
 # ---------------------------------------------------------------------------
@@ -507,12 +512,11 @@ def solve_level(prob: AllAtOnceProblem, x0=None, *, step: float = STEP,
                 keep_terms: bool = False) -> LevelResult:
     """Minimize one level with adaptive-moment steps and a monotone guard.
 
-    Every proposed step is backtracked (halving) until the objective does
-    not increase by more than 1e-12, diffusion coefficients are projected
-    onto [D_MIN, inf) and the parameter vector onto the psi ball after
-    every accepted step. Stops when the relative decrease over the last
-    50 iterations falls below 1e-8, when the step underflows, or at
-    max_iters.
+    Every proposed point is projected onto the feasible set
+    (`AllAtOnceProblem.project`) and backtracked (halving) until the
+    objective does not increase by more than 1e-12. Stops when the
+    relative decrease over the last 50 iterations falls below 1e-8, when
+    the step underflows, or at max_iters.
     """
     tol, patience = 1e-8, 50
     x = prob.initial_iterate(seed) if x0 is None else np.array(x0, dtype=float)
@@ -522,7 +526,6 @@ def solve_level(prob: AllAtOnceProblem, x0=None, *, step: float = STEP,
     b1, b2, tiny = 0.9, 0.999, 1e-8
     m = np.zeros_like(x)
     v = np.zeros_like(x)
-    d_size = prob._sizes[0]
     stop_reason = "iteration cap"
 
     for it in range(1, max_iters + 1):
@@ -532,12 +535,7 @@ def solve_level(prob: AllAtOnceProblem, x0=None, *, step: float = STEP,
         direction = (m / (1.0 - b1 ** it)) / (np.sqrt(v / (1.0 - b2 ** it)) + tiny)
         s = step
         for _ in range(41):  # the steps step * 2^-k, k = 0 .. 40
-            x_new = x - s * direction
-            x_new[:d_size] = np.maximum(x_new[:d_size], D_MIN)
-            th = x_new[-prob._sizes[3]:]
-            tn = np.linalg.norm(th)
-            if tn > prob.schedule.psi:
-                th *= prob.schedule.psi / tn
+            x_new = prob.project(x - s * direction)
             obj_new = prob.objective(x_new)
             if obj_new <= obj + 1e-12:
                 break
@@ -579,10 +577,6 @@ class SweepRow:
     misfit_term: float
     sup_error: float
     d_error: float
-
-    def as_tuple(self):
-        return (self.m, self.objective, self.residual_term,
-                self.misfit_term, self.sup_error, self.d_error)
 
 
 def identification_sweep(f_true, d_true: float, u0_profiles, grid: SpaceTimeGrid,

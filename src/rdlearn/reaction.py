@@ -23,7 +23,7 @@ A sampling verdict is "no violation found", never a proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -462,13 +462,13 @@ class ConditionReport:
     ball_radius: float
     lipschitz_estimate: float
     lipschitz_certified: float | None
-    quasipos_violations: list = field(default_factory=list)
-    mass_K0: float | None = None
-    mass_K1: float | None = None
-    mass_margin: float | None = None
-    growth_K: float | None = None
-    growth_worst_ratio: float = np.nan
-    constants_label: str = "sampled"
+    quasipos_violations: list
+    mass_K0: float
+    mass_K1: float
+    mass_margin: float | None  # None when the box misses the nonnegative orthant
+    growth_K: float
+    growth_worst_ratio: float
+    constants_label: str
 
     @property
     def quasipos_ok(self) -> bool:
@@ -481,9 +481,7 @@ class ConditionReport:
         return self.mass_margin <= 0.0
 
     @property
-    def growth_ok(self) -> bool | None:
-        if self.growth_K is None:
-            return None
+    def growth_ok(self) -> bool:
         return self.growth_worst_ratio <= self.growth_K
 
     def summary(self) -> str:
@@ -506,15 +504,11 @@ class ConditionReport:
                 f"K1={self.mass_K1:.6g}, worst margin {self.mass_margin:.6g} "
                 + ("(holds)" if self.mass_ok else "(VIOLATED)")
             )
-        if self.growth_K is None:
-            lines.append("(G) growth: constant unavailable, "
-                         f"worst ratio {self.growth_worst_ratio:.6g}")
-        else:
-            lines.append(
-                f"(G) growth [{self.constants_label}]: K={self.growth_K:.6g}, "
-                f"worst ratio {self.growth_worst_ratio:.6g} "
-                + ("(holds)" if self.growth_ok else "(VIOLATED)")
-            )
+        lines.append(
+            f"(G) growth [{self.constants_label}]: K={self.growth_K:.6g}, "
+            f"worst ratio {self.growth_worst_ratio:.6g} "
+            + ("(holds)" if self.growth_ok else "(VIOLATED)")
+        )
         return "\n".join(lines)
 
 

@@ -379,6 +379,29 @@ def test_a_failed_params_write_leaves_no_partial_file(tmp_path, monkeypatch, cap
     assert os.listdir(out) == ["results.csv"]
 
 
+def test_a_failed_rerun_leaves_no_stale_manifest(tmp_path, monkeypatch, capsys):
+    """A rerun into an existing output directory removes the previous
+    manifest before it writes, so when it fails after rewriting
+    results.csv no manifest is left whose hashes disagree with the files."""
+    cfg = write(tmp_path, LEARN_CFG.replace("strides = 4,2,1", "strides = 2"))
+    out = tmp_path / "o"
+    argv = ["learn", "--config", cfg, "--out", str(out), "--levels", "2"]
+    assert main(argv) == 0
+    first = (out / "results.csv").read_bytes()
+
+    def failing(path, mlp, **meta):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("rdlearn.cli.save_params", failing)
+    assert main(argv + ["--seed", "5"]) == 1
+    assert capsys.readouterr().err == "error: disk full\n"
+    assert (out / "results.csv").read_bytes() != first
+    if (out / "manifest.txt").exists():
+        for line in read_manifest(out).splitlines():
+            digest, name = line.split("  ")
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_an_unwritable_output_directory_exits_1(tmp_path, capsys):
     (tmp_path / "taken").write_text("a file, not a directory\n")
     assert main(["transition", "--out", str(tmp_path / "taken" / "o")]) == 1
@@ -440,8 +463,7 @@ def test_check_passes_for_wrapped_fisher(tmp_path):
     assert main(["check", "--config", cfg, "--out", out]) == 0
     with open(os.path.join(out, "conditions.csv")) as fh:
         lines = fh.read().splitlines()
-    assert lines[0] == "condition,ok"
-    assert all(line.endswith(",1") for line in lines[1:])
+    assert lines == ["condition,ok", "quasipositivity,1", "mass_control,1", "growth,1"]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ truth-insertion and stationarity tests, whose expected values (zero, up
 to solver rounding) need no freezing.
 """
 
+import gc
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -56,11 +58,17 @@ def small_problem(operator=None, data=None, sched=None, widths=(1, 4, 1),
 
 
 def test_full_operator_is_identity():
-    op = MeasurementOperator("full")
+    """"full" is the stride-1 subsample: both return the grid state
+    unchanged, bit for bit, -0.0, inf and NaN included."""
     u = np.random.default_rng(0).standard_normal((2, 9, 9))
-    np.testing.assert_array_equal(op.apply(u, GRID), u)
-    np.testing.assert_array_equal(op.adjoint(u, GRID), u)
-    np.testing.assert_array_equal(op.reconstruct(u, GRID), u)
+    u[0, 0, :4] = [-0.0, np.inf, -np.inf, np.nan]
+    u[1, 3, 8] = -0.0
+    u[1, 8, 2] = np.nan
+    for op in (MeasurementOperator("full"), MeasurementOperator("subsample", stride=1)):
+        for method in (op.apply, op.adjoint, op.reconstruct):
+            out = method(u, GRID)
+            assert out.shape == u.shape and out.tobytes() == u.tobytes(), (op, method)
+            assert not np.shares_memory(out, u)
 
 
 def test_subsample_keeps_every_stride_th_sample():
@@ -235,12 +243,36 @@ def test_pack_unpack_round_trip():
     D = rng.standard_normal((1, 1))
     u = rng.standard_normal((1, 1, 9, 9))
     u0 = rng.standard_normal((1, 1, 9))
-    theta = rng.standard_normal(prob._shapes[3][0])
+    theta = rng.standard_normal(MLPReaction.parameter_count(prob.widths))
     D2, u2, u02, th2 = prob.unpack(prob.pack(D, u, u0, theta))
     np.testing.assert_array_equal(D2, D)
     np.testing.assert_array_equal(u2, u)
     np.testing.assert_array_equal(u02, u0)
     np.testing.assert_array_equal(th2, theta)
+
+
+def test_project_lifts_d_and_scales_theta_onto_the_ball():
+    prob = small_problem()
+    psi = prob.schedule.psi
+    rng = np.random.default_rng(12)
+    u = rng.standard_normal((1, 1, 9, 9))
+    u0 = rng.standard_normal((1, 1, 9))
+    theta = rng.standard_normal(MLPReaction.parameter_count(prob.widths))
+    outside = 3.0 * psi * theta / np.linalg.norm(theta)
+    x = prob.pack([[-0.5]], u, u0, outside)
+    y = prob.project(x)
+    assert y is x
+    D, u2, u02, th = prob.unpack(y)
+    assert D[0, 0] == D_MIN
+    assert u2.tobytes() == u.tobytes() and u02.tobytes() == u0.tobytes()
+    assert np.linalg.norm(th) == pytest.approx(psi, rel=1e-14)
+    np.testing.assert_allclose(th, outside / 3.0, rtol=1e-14)
+    again = prob.project(y.copy())
+    assert again.tobytes() == y.tobytes()
+
+    inside = 0.5 * psi * theta / np.linalg.norm(theta)
+    x = prob.pack([[0.25]], u, u0, inside)
+    assert prob.project(x.copy()).tobytes() == x.tobytes()
 
 
 def test_zero_variables_cost_only_diffusion_floor():
@@ -249,7 +281,7 @@ def test_zero_variables_cost_only_diffusion_floor():
     op = MeasurementOperator("full")
     prob = small_problem(op, data=np.zeros((1, 1, 9, 9)))
     x = prob.pack(np.full((1, 1), D_MIN), np.zeros((1, 1, 9, 9)),
-                  np.zeros((1, 1, 9)), np.zeros(prob._shapes[3][0]))
+                  np.zeros((1, 1, 9)), np.zeros(MLPReaction.parameter_count(prob.widths)))
     terms = prob.objective_terms(x)
     assert terms["diffusion_reg"] == D_MIN ** 2
     nonzero = {k: v for k, v in terms.items() if v != 0.0}
@@ -265,7 +297,7 @@ def test_truth_insertion_zeroes_the_data_terms():
     op = MeasurementOperator("full")
     prob = small_problem(op, data=op.apply(truth.values, GRID))
     x = prob.pack(np.full((1, 1), 0.05), truth.values[None],
-                  truth.initial()[None], np.zeros(prob._shapes[3][0]))
+                  truth.initial()[None], np.zeros(MLPReaction.parameter_count(prob.widths)))
     terms = prob.objective_terms(x)
     assert terms["data_misfit"] == 0.0
     assert terms["init_misfit"] == 0.0
@@ -301,7 +333,7 @@ def test_objective_symmetric_under_trajectory_permutation():
     D = rng.standard_normal((2, 1)) ** 2 + 0.01
     u = rng.standard_normal((2, 1, 9, 9))
     u0 = rng.standard_normal((2, 1, 9))
-    theta = rng.standard_normal(prob_a._shapes[3][0])
+    theta = rng.standard_normal(MLPReaction.parameter_count(prob_a.widths))
     xa = prob_a.pack(D, u, u0, theta)
     xb = prob_b.pack(D[::-1], u[::-1], u0[::-1], theta)
     assert prob_a.objective(xa) == prob_b.objective(xb)
@@ -386,8 +418,9 @@ def test_a_gradient_makes_one_value_pass_for_all_trajectories(monkeypatch):
 
 def test_gradient_from_a_kept_forward_pass_is_bitwise_fresh():
     """The problem keeps the forward pass of the last point it evaluated;
-    a gradient taken from it equals one from a fresh problem, and neither
-    another point nor an in-place change of x reuses a stale pass."""
+    a gradient taken from it, once or twice, equals one from a fresh
+    problem, and neither another point nor an in-place change of x reuses
+    a stale pass."""
     rng = np.random.default_rng(11)
     op = MeasurementOperator("subsample", stride=2)
     data = rng.standard_normal((2, 1, 5, 5))
@@ -402,6 +435,7 @@ def test_gradient_from_a_kept_forward_pass_is_bitwise_fresh():
 
     prob.objective(x)
     assert prob.gradient(x).tobytes() == expected.tobytes()
+    assert prob.gradient(x).tobytes() == expected.tobytes()
     assert prob.objective_terms(x) == fresh().objective_terms(x)
 
     prob.objective(y)
@@ -413,6 +447,20 @@ def test_gradient_from_a_kept_forward_pass_is_bitwise_fresh():
     z[-1] += 0.25
     assert prob.gradient(z).tobytes() == fresh().gradient(z).tobytes()
     assert prob.objective(z) == fresh().objective(z)
+
+
+def test_a_dropped_problem_is_freed_without_the_cycle_collector():
+    """The kept reverse pass holds no reference to its problem, so a level
+    sweep frees each finished problem and its arrays at once."""
+    prob = small_problem()
+    prob.gradient(prob.initial_iterate(seed=1))
+    ref = weakref.ref(prob)
+    gc.disable()
+    try:
+        del prob
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_objective_computes_no_lipschitz_certificate(monkeypatch):
@@ -526,7 +574,7 @@ def test_optimizer_never_lifts_misfit_off_its_floor():
                           delta=0.0625, psi=50.0)
     prob = small_problem(op, data=data, sched=sched)
     x0 = prob.pack(np.full((1, 1), 0.05), truth.values[None],
-                   truth.initial()[None], np.zeros(prob._shapes[3][0]))
+                   truth.initial()[None], np.zeros(MLPReaction.parameter_count(prob.widths)))
     res = solve_level(prob, x0, step=0.01, max_iters=50, keep_terms=True)
     worst = max(t["data_misfit"] for t in res.terms_history)
     assert worst <= 1e-10
