@@ -38,6 +38,18 @@ class ConfigError(ValueError):
     """A config file problem; the message names the offending key."""
 
 
+@contextmanager
+def _keyed(key: str):
+    """Turns a ValueError raised in the block into a ConfigError that names
+    `key`. A ConfigError passes through untouched: it names its own key."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 _SCHEMA = {
     "domain": {"extent", "species", "initial", "initials"},
     "grid": {"nodes", "horizon", "steps"},
@@ -234,29 +246,29 @@ def _build_grid(cfg: ExperimentConfig) -> SpaceTimeGrid:
     nodes = cfg.getints("grid", "nodes")
     horizon = cfg.getfloat("grid", "horizon", minimum=0.0)
     steps = cfg.getint("grid", "steps", minimum=0)
-    try:
+    with _keyed("grid"):
         return SpaceTimeGrid(tuple(extent), tuple(nodes), horizon, steps)
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
 
 
 def _profile_values(text: str, grid: SpaceTimeGrid) -> np.ndarray:
-    """One named initial profile evaluated on the grid."""
-    name, _, args = text.strip().partition(":")
+    """One named initial profile evaluated on the grid; a ValueError says
+    what is wrong with it."""
+    text = text.strip()
+    name, _, args = text.partition(":")
     vals = []
     if args:
         try:
             vals = [float(a) for a in args.split(",")]
         except ValueError:
-            raise ConfigError(f"initial profile arguments must be numbers: {text!r}") from None
+            raise ValueError(f"initial profile arguments must be numbers: {text!r}") from None
     axes = [grid.axis(k) / grid.extents[k] for k in range(grid.ndim)]
     if name == "constant":
         if len(vals) != 1:
-            raise ConfigError(f"constant profile takes one value, got {text!r}")
+            raise ValueError(f"constant profile takes one value, got {text!r}")
         return np.full(grid.shape, vals[0])
     if name == "ramp":
         if len(vals) != 2:
-            raise ConfigError(f"ramp profile takes base,slope, got {text!r}")
+            raise ValueError(f"ramp profile takes base,slope, got {text!r}")
         base, slope = vals
         out = base + slope * axes[0]
         if grid.ndim == 2:
@@ -264,13 +276,13 @@ def _profile_values(text: str, grid: SpaceTimeGrid) -> np.ndarray:
         return out
     if name == "cosine":
         if len(vals) != 3:
-            raise ConfigError(f"cosine profile takes base,amp,modes, got {text!r}")
+            raise ValueError(f"cosine profile takes base,amp,modes, got {text!r}")
         base, amp, k = vals
         wave = np.cos(np.pi * k * axes[0])
         if grid.ndim == 2:
             wave = np.outer(wave, np.cos(np.pi * k * axes[1]))
         return base + amp * wave
-    raise ConfigError(f"unknown initial profile {name!r} (constant, ramp, cosine)")
+    raise ValueError(f"unknown initial profile {name!r} (constant, ramp, cosine)")
 
 
 def _initial_state(text: str, key: str, grid: SpaceTimeGrid, n: int) -> np.ndarray:
@@ -278,17 +290,16 @@ def _initial_state(text: str, key: str, grid: SpaceTimeGrid, n: int) -> np.ndarr
     parts = text.split("|")
     if len(parts) != n:
         raise ConfigError(f"{key} needs {n} '|'-separated profiles, got {len(parts)} in {text!r}")
-    return np.stack([_profile_values(p, grid) for p in parts])
+    with _keyed(key):
+        return np.stack([_profile_values(p, grid) for p in parts])
 
 
 def _build_reaction(cfg: ExperimentConfig, n: int):
     name = cfg.get("reaction", "name", "none")
     if name == "none":
         return None
-    try:
+    with _keyed("reaction.name"):
         f = make_reaction(name)
-    except ValueError as exc:
-        raise ConfigError(f"reaction.name: {exc}") from exc
     if f.n_species != n:
         raise ConfigError(
             f"reaction.name {name!r} has {f.n_species} species, domain.species says {n}"
@@ -300,10 +311,8 @@ def _cutoff(cfg: ExperimentConfig, eps_default=None) -> TransitionFunction:
     """The [wrapper] cutoff: ramp center eps, half-width delta (eps / 2 unless given)."""
     eps = cfg.getfloat("wrapper", "eps", default=eps_default, minimum=0.0)
     delta = cfg.getfloat("wrapper", "delta", default=eps / 2.0, minimum=0.0)
-    try:
+    with _keyed("wrapper.delta"):
         return TransitionFunction(eps, delta, default_kernel())
-    except ValueError as exc:
-        raise ConfigError(f"wrapper.delta: {exc}") from None
 
 
 def _maybe_wrap(cfg: ExperimentConfig, f):
@@ -316,10 +325,8 @@ def _maybe_wrap(cfg: ExperimentConfig, f):
 
 def _weights(cfg: ExperimentConfig, n: int) -> np.ndarray:
     weights = cfg.getfloats("reaction", "weights", default=[1.0] * n)
-    try:
+    with _keyed("reaction.weights"):
         return as_weights(weights, n)
-    except ValueError as exc:
-        raise ConfigError(f"reaction.weights: {exc}, got {weights}") from None
 
 
 def _diffusion(cfg: ExperimentConfig, n: int) -> DiffusionSpec:
@@ -327,24 +334,27 @@ def _diffusion(cfg: ExperimentConfig, n: int) -> DiffusionSpec:
     d = cfg.getfloats("reaction", "diffusion")
     if len(d) not in (1, n):
         raise ConfigError(f"reaction.diffusion needs one value or {n}, one per species, got {d}")
-    try:
+    with _keyed("reaction.diffusion"):
         return DiffusionSpec(tuple(d * n if len(d) == 1 else d))
-    except ValueError as exc:
-        raise ConfigError(f"reaction.diffusion: {exc}") from None
 
 
-def _parse_levels(text: str) -> list:
+def _box(cfg: ExperimentConfig, default) -> list:
+    """reaction.box: one interval lo,hi shared by every species."""
+    box = cfg.getfloats("reaction", "box", default=default)
+    if len(box) != 2 or box[0] >= box[1]:
+        raise ConfigError(f"reaction.box must be lo,hi with lo < hi, got {box}")
+    return box
+
+
+def _parse_levels(key: str, text: str) -> list:
+    """Levels given as lo..hi or as a comma list; an error names `key`."""
     text = text.strip()
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        try:
-            return list(range(int(lo), int(hi) + 1))
-        except ValueError:
-            raise ConfigError(f"levels range must be int..int, got {text!r}") from None
+    lo, dots, hi = text.partition("..")
     try:
-        return [int(p) for p in text.split(",")]
+        return list(range(int(lo), int(hi) + 1)) if dots else [int(p) for p in text.split(",")]
     except ValueError:
-        raise ConfigError(f"levels must be ints, got {text!r}") from None
+        what = "range must be int..int" if dots else "must be ints"
+        raise ConfigError(f"{key}: levels {what}, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -394,30 +404,26 @@ def _cmd_check(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) 
     f = _maybe_wrap(cfg, _build_reaction(cfg, n))
     if f is None:
         raise ConfigError("check needs reaction.name")
-    box = cfg.getfloats("reaction", "box", default=[0.0, 2.0])
-    if len(box) != 2 or box[0] >= box[1]:
-        raise ConfigError(f"reaction.box must be lo,hi with lo < hi, got {box}")
+    box = _box(cfg, [0.0, 2.0])
     report = check_conditions(f, [box[0]] * n, [box[1]] * n,
                               samples=20_000, c=_weights(cfg, n), seed=args.seed)
-    rows = [("quasipositivity", int(report.quasipos_ok))]
-    if report.mass_ok is not None:
-        rows.append(("mass_control", int(report.mass_ok)))
-    rows.append(("growth", int(report.growth_ok)))
-    out.write_csv("conditions.csv", ["condition", "ok"], rows)
+    # a check the box gives no points to is skipped: neither a pass nor a failure
+    verdicts = [("quasipositivity", report.quasipos_ok), ("mass_control", report.mass_ok),
+                ("growth", report.growth_ok)]
+    out.write_csv("conditions.csv", ["condition", "ok"],
+                  [(name, "skipped" if ok is None else int(ok)) for name, ok in verdicts])
     out.finish()
     print(report.summary())
-    return 0 if all(ok for _, ok in rows) else 1
+    return 1 if any(ok is False for _, ok in verdicts) else 0
 
 
 def _cmd_wrap_rates(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) -> int:
     alpha = cfg.getfloat("schedule", "alpha", default=2.0, minimum=1.0)
     beta = cfg.getfloat("schedule", "beta", default=1.0, minimum=0.0)
     gamma = cfg.getfloat("schedule", "gamma", default=0.5, minimum=0.0)
-    levels = _parse_levels(cfg.get("schedule", "levels", "4,8,16,32,64"))
-    try:
+    levels = _parse_levels("schedule.levels", cfg.get("schedule", "levels", "4,8,16,32,64"))
+    with _keyed("schedule.gamma"):
         sched = WrapperSchedule(alpha=alpha, beta=beta, gamma=gamma)
-    except ValueError as exc:
-        raise ConfigError(f"schedule.gamma: {exc}") from exc
 
     target = AnalyticReaction("cubic-target", 1, lambda u: -(u ** 2) * (1.0 - u))
 
@@ -480,26 +486,20 @@ def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) 
         raise ConfigError("learn needs reaction.name (the ground truth)")
     # the learning problem has one diffusion coefficient, shared by all species
     diffusion = cfg.getfloat("reaction", "diffusion", minimum=0.0)
-    try:
+    with _keyed("reaction.diffusion"):
         DiffusionSpec.uniform(diffusion, n)
-    except ValueError as exc:
-        raise ConfigError(f"reaction.diffusion: {exc}") from None
     widths = tuple(cfg.getints("reaction", "widths", default=[n, 16, n]))
     if len(widths) < 2 or widths[0] != n or widths[-1] != n or min(widths) < 1:
         raise ConfigError(
             f"reaction.widths must be two or more positive widths from {n} to {n}, got {widths}")
-    box = cfg.getfloats("reaction", "box", default=BOX)
-    if len(box) != 2 or box[0] >= box[1]:
-        raise ConfigError(f"reaction.box must be lo,hi with lo < hi, got {box}")
+    box = _box(cfg, BOX)
     u0s = np.stack([_initial_state(traj, "domain.initials", grid, n)
                     for traj in cfg.require("domain", "initials").split(";")])
 
     levels_key = "--levels" if args.levels else "schedule.levels"
-    try:
+    with _keyed(levels_key):
         levels = check_levels(
-            _parse_levels(args.levels or cfg.get("schedule", "levels", "1,2,3")))
-    except ValueError as exc:
-        raise ConfigError(f"{levels_key}: {exc}") from exc
+            _parse_levels(levels_key, args.levels or cfg.get("schedule", "levels", "1,2,3")))
     # each value's own range is checked as it is read, and named by its key;
     # what make_schedule rejects is a combination of them
     alpha = cfg.getfloat("schedule", "alpha", minimum=1.0)
@@ -507,10 +507,8 @@ def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) 
     gamma = cfg.getfloat("schedule", "gamma", minimum=0.0)
     prefactors = {key: cfg.getfloat("schedule", key, default=1.0, minimum=0.0)
                   for key in ("lam0", "mu0", "nu0")}
-    try:
+    with _keyed("schedule"):
         scheds = make_schedule(alpha, beta, gamma, levels=levels, **prefactors)
-    except ValueError as exc:
-        raise ConfigError(f"schedule: {exc}") from exc
 
     kind = cfg.get("measurement", "kind", "full")
     if kind == "subsample":

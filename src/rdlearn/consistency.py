@@ -44,7 +44,8 @@ from functools import cached_property
 import numpy as np
 
 from rdlearn._sampling import as_box, as_weights, sup_sample
-from rdlearn.reaction import MLPReaction, ReactionTerm, _atleast_batch, mass_growth_constants
+from rdlearn.reaction import (ConsistencyConstants, MLPReaction, ReactionTerm, _atleast_batch,
+                              mass_growth_constants)
 from rdlearn.transition import TransitionFunction, build_mollified_heaviside
 
 
@@ -103,17 +104,6 @@ class WrappedTape:
     f: np.ndarray
     acts: list
     value: np.ndarray
-
-
-@dataclass(frozen=True)
-class ConsistencyConstants:
-    """Derived mass-control and growth constants of a wrapped term."""
-
-    K0: float
-    K1: float | None
-    growth_K: float | None
-    lipschitz: float | None
-    label: str  # "certified" | "sampled" | "unavailable"
 
 
 class ConsistentReaction(ReactionTerm):
@@ -187,14 +177,14 @@ class ConsistentReaction(ReactionTerm):
         cut = self.cutoffs(ub, f) if cut is None else cut
         return WrappedTape(cut, f, acts, lift(f, cut.values))
 
-    def value_vjp(self, u, cotangent, tape: WrappedTape):
+    def value_vjp(self, cotangent, tape: WrappedTape):
         """(theta_grad, u_grad) of <cotangent, fbar(u)> for an MLP base.
 
-        u and the cotangent are batches (S, N), and `tape` is the result of
-        `forward` on u, which this pass replays.
+        `tape` is the result of `forward` on a batch u (S, N), which this
+        pass replays; the cotangent and u_grad are (S, N) too.
         """
         scale, d_u = lift_partials(tape.f, tape.cut)
-        theta_grad, u_grad = self.base.vjp(u, cotangent * scale, (tape.f, tape.acts))
+        theta_grad, u_grad = self.base.vjp(cotangent * scale, (tape.f, tape.acts))
         return theta_grad, u_grad + cotangent * d_u
 
     def jac_vjp(self, u, cot_jac):
@@ -213,7 +203,7 @@ class ConsistentReaction(ReactionTerm):
         base_cot_jac = scale[:, :, None] * cot_jac
         diag = np.arange(self.n_species)
         base_cot_val = -((f < 0.0) * cut.derivatives * cot_jac[:, diag, diag])
-        return self.base.jac_vjp(u, base_cot_jac, base_cot_val, state)
+        return self.base.jac_vjp(base_cot_jac, base_cot_val, state)
 
     def _require_param(self):
         if not isinstance(self.base, MLPReaction):
@@ -225,8 +215,7 @@ class ConsistentReaction(ReactionTerm):
         """Mass-control and growth constants for the weights c, all ones by default."""
         c = as_weights(c, self.n_species)
         L, label = self._lip
-        K0, K1, K = mass_growth_constants(self.base.eval(np.zeros(self.n_species)), L, c)
-        return ConsistencyConstants(K0, K1, K, L, label)
+        return mass_growth_constants(self.base.eval(np.zeros(self.n_species)), L, label, c)
 
     def local_lipschitz(self, M: float) -> float | None:
         """Certified Lipschitz profile of the wrapped term on a ball."""

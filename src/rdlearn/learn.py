@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from rdlearn._sampling import as_box, box_quadrature, halton_box, trapezoid_weights
-from rdlearn.consistency import ConsistentReaction, WrapperSchedule, wrap
+from rdlearn.consistency import ConsistentReaction, Cutoffs, WrapperSchedule, wrap
 from rdlearn.rdsolve import (D_MIN, DiffusionSpec, SpaceTimeGrid, StateField, mirror_laplacian,
                               mirror_laplacian_transpose, solve)
 from rdlearn.reaction import MLPReaction
@@ -281,20 +281,17 @@ class AllAtOnceProblem:
         )
         self._sup_pts = halton_box(int(sup_points), self.box_lo, self.box_hi)
 
-        self._mlp = MLPReaction(self.widths,
-                                np.zeros(MLPReaction.parameter_count(self.widths)))
         # the quadrature and sup points never move: their cutoffs are
         # evaluated once
-        fixed = wrap(self._mlp, chi)
-        self._l2_cut = fixed.cutoffs(self._l2_pts)
-        self._sup_cut = fixed.cutoffs(self._sup_pts)
+        self._l2_cut = Cutoffs(chi, self._l2_pts)
+        self._sup_cut = Cutoffs(chi, self._sup_pts)
         self._w = grid.quadrature_weights()
         self._tw = trapezoid_weights(grid.steps + 1, grid.dt)
         self._last = None  # (x, terms, reverse) of the last point evaluated
         K, M = grid.steps, grid.nodes[0]
         L, N = self.n_traj, self.n_species
         self._shapes = ((L, N), (L, N, K + 1, M), (L, N, M),
-                        (self._mlp.theta.size,))
+                        (MLPReaction.parameter_count(self.widths),))
         self._sizes = [int(np.prod(s)) for s in self._shapes]
 
     # ------------------------------------------------------------- packing
@@ -334,7 +331,7 @@ class AllAtOnceProblem:
         return x
 
     def reaction(self, theta) -> ConsistentReaction:
-        return wrap(self._mlp.with_theta(np.asarray(theta, dtype=float)), self.chi)
+        return wrap(MLPReaction(self.widths, theta), self.chi)
 
     def initial_iterate(self, seed: int = 0) -> np.ndarray:
         """Defaults: data-driven state, floor diffusion, small random theta."""
@@ -443,7 +440,7 @@ class AllAtOnceProblem:
             gu0 += 2.0 * u0 * w
             if tn > 0.0:
                 gth += sched.nu * theta / tn
-            tg, _ = fbar.value_vjp(l2_pts, 2.0 * l2_w[:, None] * l2.value, l2)
+            tg, _ = fbar.value_vjp(2.0 * l2_w[:, None] * l2.value, l2)
             gth += tg
             if sup_cot is not None:
                 gth += fbar.jac_vjp(sup_pts[idx][None], sup_cot[None])
@@ -451,7 +448,7 @@ class AllAtOnceProblem:
             G = sched.lam * 2.0 * dt * res * w
             gu[:, :, 1:] += G / dt - D[:, :, None, None] * mirror_laplacian_transpose(G, h)
             gu[:, :, :-1] -= G / dt
-            tg, ug = fbar.value_vjp(pts, -np.moveaxis(G, 1, -1).reshape(-1, N), traj)
+            tg, ug = fbar.value_vjp(-np.moveaxis(G, 1, -1).reshape(-1, N), traj)
             gth += tg
             gu[:, :, :-1] += np.moveaxis(ug.reshape(L, K, M, N), -1, 1)
             gD -= np.einsum("lnkm,lnkm->ln", G, lap_next)

@@ -80,9 +80,6 @@ class ReactionTerm:
     def eval(self, u):
         raise NotImplementedError
 
-    def __call__(self, u):
-        return self.eval(u)
-
     def jacobian(self, u):
         """Central-difference fallback, step 1e-5 * (1 + |u_j|) per column."""
         ub, single = _atleast_batch(u, self.n_species)
@@ -269,10 +266,6 @@ class MLPReaction(ReactionTerm):
             parts.append(np.zeros(n_out))
         return cls(widths, np.concatenate(parts))
 
-    def with_theta(self, theta) -> "MLPReaction":
-        """Same architecture, new parameters."""
-        return MLPReaction(self.widths, theta)
-
     def forward(self, U):
         """The forward pass over a batch (S, N), kept as a tape.
 
@@ -335,14 +328,14 @@ class MLPReaction(ReactionTerm):
         J = np.ascontiguousarray(np.moveaxis(Z_list[-1], -1, 0))
         return f, acts, J, A_list, Z_list
 
-    def vjp(self, u, cotangent, tape):
+    def vjp(self, cotangent, tape):
         """Reverse pass for the value: returns (theta_grad, u_grad).
 
         theta_grad is d<cotangent, f(u)>/dtheta (flat), u_grad the same
-        quantity differentiated in u. `tape` is the result of `forward` on
-        the batch u, which this pass replays. u, the cotangent and u_grad
-        are (S, N); inside, the cotangent runs back points-last, (width,
-        S), like the tape.
+        quantity differentiated in u, where `tape` is the result of
+        `forward` on the batch u, which this pass replays. The cotangent
+        and u_grad are (S, N); inside, the cotangent runs back
+        points-last, (width, S), like the tape.
         """
         _, acts = tape
         gW = [None] * len(self._layers)
@@ -360,18 +353,18 @@ class MLPReaction(ReactionTerm):
                 delta = _product(W.T, delta)
         return self._pack(gW, gb), delta.T
 
-    def jac_vjp(self, u, cot_jac, cot_val, state):
+    def jac_vjp(self, cot_jac, cot_val, state):
         """Reverse pass through value and Jacobian simultaneously.
 
         Computes d(<cot_jac, df/du(u)> + <cot_val, f(u)>)/dtheta. This is
         the second-order pass behind the gradient of sup-norm terms on the
         wrapped Jacobian: the Jacobian forward recursion
         A_{i+1} = (1 - a_{i+1}^2) * (W_i A_i) is itself differentiated in
-        reverse, which costs one extra product chain per layer. u is a
-        batch (S, N), cot_jac (S, N, N) and cot_val (S, N); `state` is the
-        result of `_value_jac_state` on u, which this pass replays.
+        reverse, which costs one extra product chain per layer. `state` is
+        the result of `_value_jac_state` on a batch u (S, N), which this
+        pass replays; cot_jac is (S, N, N) and cot_val (S, N).
         """
-        S, N = u.shape
+        S, N = cot_val.shape
         z_hat = cot_val.T
         _, acts, _, A_list, Z_list = state
         L = len(self._layers)
@@ -454,24 +447,52 @@ def load_params(path):
         "eps": float(meta["eps"]), "species": int(meta["species"])}
 
 
+@dataclass(frozen=True)
+class ConsistencyConstants:
+    """Derived mass-control and growth constants of a reaction term."""
+
+    K0: float
+    K1: float | None
+    growth_K: float | None
+    lipschitz: float | None
+    label: str  # "certified" | "sampled" | "unavailable"
+
+
+def mass_growth_constants(f0: np.ndarray, L: float | None, label: str,
+                          c: np.ndarray) -> ConsistencyConstants:
+    """Mass control K0 = sum_n c_n P_+(f_n(0)), K1 = L sqrt(N) sum_n c_n and
+    growth K = 4 max(L, max_n |f_n(0)|), for f(0) = f0 and a Lipschitz
+    bound L of the kind `label`; K1, K need L."""
+    K0 = float(np.sum(c * np.maximum(f0, 0.0)))
+    if L is None:
+        return ConsistencyConstants(K0, None, None, None, label)
+    K1 = float(L * np.sqrt(f0.size) * np.sum(c))
+    K = float(4.0 * max(L, np.max(np.abs(f0))))
+    return ConsistencyConstants(K0, K1, K, L, label)
+
+
 @dataclass
 class ConditionReport:
-    """Sampling-based verdicts for the four consistency conditions."""
+    """Sampling-based verdicts for the four consistency conditions.
+
+    A check the box gives no points to is skipped, and its verdict is None:
+    (Q) when the box reaches no face {u >= 0, u_n = 0}, (M) when it misses
+    the nonnegative orthant.
+    """
 
     samples: int
     ball_radius: float
     lipschitz_estimate: float
     lipschitz_certified: float | None
-    quasipos_violations: list
-    mass_K0: float
-    mass_K1: float
+    quasipos_violations: list | None  # None when the box reaches no face
     mass_margin: float | None  # None when the box misses the nonnegative orthant
-    growth_K: float
     growth_worst_ratio: float
-    constants_label: str
+    constants: ConsistencyConstants
 
     @property
-    def quasipos_ok(self) -> bool:
+    def quasipos_ok(self) -> bool | None:
+        if self.quasipos_violations is None:
+            return None
         return not self.quasipos_violations
 
     @property
@@ -482,45 +503,40 @@ class ConditionReport:
 
     @property
     def growth_ok(self) -> bool:
-        return self.growth_worst_ratio <= self.growth_K
+        return self.growth_worst_ratio <= self.constants.growth_K
 
     def summary(self) -> str:
+        k = self.constants
+        violations = self.quasipos_violations
+        if violations is None:
+            quasipos = "skipped (the box reaches no face u_n = 0 of the nonnegative orthant)"
+        elif violations:
+            quasipos = (f"{len(violations)} violations, "
+                        f"worst {min(v[2] for v in violations):.6g}")
+        else:
+            quasipos = "no violation found"
         lines = [
             f"samples per check: {self.samples}",
             f"(L) Lipschitz estimate on ball radius {self.ball_radius:.6g}: "
             f"{self.lipschitz_estimate:.6g}"
             + (f" (certified bound {self.lipschitz_certified:.6g})"
                if self.lipschitz_certified is not None else ""),
-            f"(Q) quasipositivity: "
-            + ("no violation found" if self.quasipos_ok
-               else f"{len(self.quasipos_violations)} violations, "
-                    f"worst {min(v[2] for v in self.quasipos_violations):.6g}"),
+            f"(Q) quasipositivity: {quasipos}",
         ]
         if self.mass_margin is None:
-            lines.append("(M) mass control: constants unavailable")
+            lines.append("(M) mass control: skipped (the box misses the nonnegative orthant)")
         else:
             lines.append(
-                f"(M) mass control [{self.constants_label}]: K0={self.mass_K0:.6g}, "
-                f"K1={self.mass_K1:.6g}, worst margin {self.mass_margin:.6g} "
+                f"(M) mass control [{k.label}]: K0={k.K0:.6g}, "
+                f"K1={k.K1:.6g}, worst margin {self.mass_margin:.6g} "
                 + ("(holds)" if self.mass_ok else "(VIOLATED)")
             )
         lines.append(
-            f"(G) growth [{self.constants_label}]: K={self.growth_K:.6g}, "
+            f"(G) growth [{k.label}]: K={k.growth_K:.6g}, "
             f"worst ratio {self.growth_worst_ratio:.6g} "
             + ("(holds)" if self.growth_ok else "(VIOLATED)")
         )
         return "\n".join(lines)
-
-
-def mass_growth_constants(f0: np.ndarray, L: float | None, c: np.ndarray) -> tuple:
-    """Mass control K0 = sum_n c_n P_+(f_n(0)), K1 = L sqrt(N) sum_n c_n and
-    growth K = 4 max(L, max_n |f_n(0)|), for f(0) = f0; K1, K need L."""
-    K0 = float(np.sum(c * np.maximum(f0, 0.0)))
-    if L is None:
-        return K0, None, None
-    K1 = float(L * np.sqrt(f0.size) * np.sum(c))
-    K = float(4.0 * max(L, np.max(np.abs(f0))))
-    return K0, K1, K
 
 
 def check_conditions(f: ReactionTerm, lo, hi, samples: int = 10_000,
@@ -528,9 +544,11 @@ def check_conditions(f: ReactionTerm, lo, hi, samples: int = 10_000,
     """Sample-based check of (L), (Q), (M), (G) on an axis-aligned box.
 
     (Q) is evaluated on the faces {u in box, u >= 0, u_n = 0} that the box
-    actually reaches (components with lo_n <= 0), with no tolerance. (M)
-    and (G) margins use the derived constants: certified when the term
-    carries a certified Lipschitz bound, sampled otherwise.
+    actually reaches (components with lo_n <= 0), with no tolerance, and
+    (M) on the part of the box in the nonnegative orthant; each is skipped
+    where the box gives it no points. (M) and (G) margins use the derived
+    constants: certified when the term carries a certified Lipschitz
+    bound, sampled otherwise.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -542,17 +560,16 @@ def check_conditions(f: ReactionTerm, lo, hi, samples: int = 10_000,
     L_est = f.sampled_lipschitz(lo, hi, samples=samples, seed=seed)
     L_cert = f.lipschitz_bound(lo, hi)
 
-    L_const = L_cert if L_cert is not None else L_est
-    label = "certified" if L_cert is not None else "sampled"
-    K0, K1, K = mass_growth_constants(f.eval(np.zeros(N)), L_const, c)
+    constants = mass_growth_constants(
+        f.eval(np.zeros(N)), L_cert if L_cert is not None else L_est,
+        "certified" if L_cert is not None else "sampled", c)
 
-    # (Q) on reachable boundary faces of the nonnegative orthant
+    # (Q) on the boundary faces of the nonnegative orthant that the box reaches
     orth_lo, orth_hi = np.maximum(lo, 0.0), hi
     orthant_ok = bool(np.all(orth_lo < orth_hi))
-    violations = []
-    for n in range(N if orthant_ok else 0):
-        if lo[n] > 0.0 or orth_hi[n] < 0.0:
-            continue
+    faces = [n for n in range(N) if lo[n] <= 0.0] if orthant_ok else []
+    violations = [] if faces else None
+    for n in faces:
         pts = halton_box(samples, orth_lo, orth_hi, seed=seed + 1000 + n)
         pts[:, n] = 0.0
         vals = f.eval(pts)[:, n]
@@ -566,7 +583,7 @@ def check_conditions(f: ReactionTerm, lo, hi, samples: int = 10_000,
     if orthant_ok:
         pts = halton_box(samples, orth_lo, orth_hi, seed=seed + 1)
         fu = f.eval(pts)
-        margin = fu @ c - (K0 + K1 * pts.sum(axis=1))
+        margin = fu @ c - (constants.K0 + constants.K1 * pts.sum(axis=1))
         mass_margin = float(np.max(margin))
 
     # (G) on the whole box
@@ -581,10 +598,7 @@ def check_conditions(f: ReactionTerm, lo, hi, samples: int = 10_000,
         lipschitz_estimate=L_est,
         lipschitz_certified=L_cert,
         quasipos_violations=violations,
-        mass_K0=K0,
-        mass_K1=K1,
         mass_margin=mass_margin,
-        growth_K=K,
         growth_worst_ratio=worst_ratio,
-        constants_label=label,
+        constants=constants,
     )

@@ -138,10 +138,10 @@ def test_typed_getters_name_the_key():
 
 
 def test_levels_flag_grammar():
-    assert _parse_levels("1..3") == [1, 2, 3]
-    assert _parse_levels("1,2,5") == [1, 2, 5]
+    assert _parse_levels("--levels", "1..3") == [1, 2, 3]
+    assert _parse_levels("--levels", "1,2,5") == [1, 2, 5]
     with pytest.raises(ConfigError, match="levels"):
-        _parse_levels("one,two")
+        _parse_levels("--levels", "one,two")
 
 
 def test_shipped_configs_parse():
@@ -228,10 +228,16 @@ BAD_WEIGHTS_CFG = SIM_CFG.replace("diffusion = 0.05", "diffusion = 0.05\nweights
      "config error: schedule: gamma must satisfy 0 < gamma < beta, got gamma=1.0, beta=1.0"),
     ("learn", LEARN_CFG.replace("constant:0.4", "constant:0.05|constant:0.1"),
      "config error: domain.initials needs 1 '|'-separated profiles, got 2"),
+    ("wrap-rates", "[schedule]\nlevels = 4,x\n",
+     "config error: schedule.levels: levels must be ints, got '4,x'"),
+    ("simulate", SIM_CFG.replace("cosine:0.5,0.4,1", "cosine:0.5,0.4"),
+     "config error: domain.initial: cosine profile takes base,amp,modes, got 'cosine:0.5,0.4'"),
+    ("learn", LEARN_CFG.replace("constant:0.4", "constant:x"),
+     "config error: domain.initials: initial profile arguments must be numbers: 'constant:x'"),
 ], ids=["diffusion", "weights-simulate", "weights-check", "delta", "diffusion-learn", "kind",
         "levels-order-option", "levels-start-option", "levels-order-config",
         "levels-start-config", "lam0", "q", "noise", "diffusion-floor", "widths-positive",
-        "gamma-beta", "initials"])
+        "gamma-beta", "initials", "levels-wrap-rates", "profile-simulate", "profile-learn"])
 def test_inconsistent_values_exit_2_and_name_the_key(command, text, named, tmp_path, capsys):
     cfg = write(tmp_path, text)
     code = main(command.split() + ["--config", cfg, "--out", str(tmp_path / "o")])
@@ -466,6 +472,26 @@ def test_check_passes_for_wrapped_fisher(tmp_path):
     assert lines == ["condition,ok", "quasipositivity,1", "mass_control,1", "growth,1"]
 
 
+@pytest.mark.parametrize("box, rows, said", [
+    ("-2,-1", ["quasipositivity,skipped", "mass_control,skipped", "growth,1"],
+     ["(Q) quasipositivity: skipped (the box reaches no face u_n = 0 of the nonnegative orthant)",
+      "(M) mass control: skipped (the box misses the nonnegative orthant)"]),
+    ("0.5,2", ["quasipositivity,skipped", "mass_control,1", "growth,1"],
+     ["(Q) quasipositivity: skipped (the box reaches no face u_n = 0 of the nonnegative orthant)",
+      "(M) mass control [sampled]: "]),
+], ids=["below-the-orthant", "off-the-faces"])
+def test_check_states_what_it_skipped(box, rows, said, tmp_path, capsys):
+    """A check that the box gives no points is skipped: the summary says
+    why, conditions.csv has a `skipped` row, and it fails no run."""
+    cfg = write(tmp_path, SIM_CFG.replace("diffusion = 0.05", f"diffusion = 0.05\nbox = {box}"))
+    out = str(tmp_path / "o")
+    assert main(["check", "--config", cfg, "--out", out]) == 0
+    with open(os.path.join(out, "conditions.csv")) as fh:
+        assert fh.read().splitlines() == ["condition,ok", *rows]
+    printed = capsys.readouterr().out.splitlines()
+    assert all(any(line.startswith(s) for line in printed) for s in said)
+
+
 # ---------------------------------------------------------------------------
 # learn
 
@@ -540,6 +566,30 @@ def manifests_under_one_and_two_blas_threads(command, cfg, tmp_path):
                        env=env, check=True, capture_output=True, timeout=300)
         manifests.append(read_manifest(out))
     return manifests
+
+
+def test_learn_measurement_kinds(tmp_path, capsys):
+    """`kind = full` writes the bytes of the stride-1 subsample, `kind =
+    fourier` runs, and a modes list of the wrong length is named."""
+    def learn(text, name):
+        out = str(tmp_path / name)
+        return main(["learn", "--config", write(tmp_path, text, name + ".cfg"), "--out", out]), out
+
+    code, stride_1 = learn(LEARN_CFG.replace("strides = 4,2,1", "strides = 1,1,1"), "stride-1")
+    assert code == 0
+    code, full = learn(LEARN_CFG.replace("kind = subsample\nstrides = 4,2,1", "kind = full"),
+                       "full")
+    assert code == 0
+    names = ["results.csv", "params_m1.txt", "params_m2.txt", "params_m3.txt"]
+    for name in names:
+        with open(os.path.join(stride_1, name), "rb") as a, open(os.path.join(full, name), "rb") as b:
+            assert a.read() == b.read()
+
+    fourier = LEARN_CFG.replace("kind = subsample\nstrides = 4,2,1", "kind = fourier\nmodes = 3,5,7")
+    assert learn(fourier, "fourier")[0] == 0
+    capsys.readouterr()
+    assert learn(fourier.replace("modes = 3,5,7", "modes = 3,5"), "modes")[0] == 2
+    assert "measurement.modes" in capsys.readouterr().err
 
 
 def test_learn_rejects_stride_count_mismatch(tmp_path, capsys):

@@ -101,10 +101,10 @@ def test_value_vjp_matches_finite_differences():
     rng = np.random.default_rng(2)
     U = rng.normal(size=(5, 2))
     cot = rng.normal(size=(5, 2))
-    theta_grad, u_grad = mlp.vjp(U, cot, mlp.forward(U))
+    theta_grad, u_grad = mlp.vjp(cot, mlp.forward(U))
 
     def scalar(theta):
-        return float(np.sum(mlp.with_theta(theta).eval(U) * cot))
+        return float(np.sum(MLPReaction(mlp.widths, theta).eval(U) * cot))
 
     h = 1e-6
     for i in rng.choice(mlp.theta.size, 15, replace=False):
@@ -129,10 +129,10 @@ def test_jacobian_cotangent_pass_matches_finite_differences():
     U = rng.normal(size=(4, 2))
     cot_jac = rng.normal(size=(4, 2, 2))
     cot_val = rng.normal(size=(4, 2))
-    grad = mlp.jac_vjp(U, cot_jac, cot_val, mlp._value_jac_state(U))
+    grad = mlp.jac_vjp(cot_jac, cot_val, mlp._value_jac_state(U))
 
     def scalar(theta):
-        m = mlp.with_theta(theta)
+        m = MLPReaction(mlp.widths, theta)
         f, J = m.value_and_jacobian(U)
         return float(np.sum(J * cot_jac) + np.sum(f * cot_val))
 
@@ -244,13 +244,13 @@ def test_points_last_passes_match_a_row_major_reference(widths, rows):
     _close_to_reference(mlp.jacobian(U), ref_state[2][-1], rows)
 
     ref_theta_grad, ref_u_grad = _ref_vjp(layers, U, cot)
-    theta_grad, u_grad = mlp.vjp(U, cot, (f, acts))
+    theta_grad, u_grad = mlp.vjp(cot, (f, acts))
     _close_to_reference(theta_grad, ref_theta_grad, rows)
     _close_to_reference(u_grad, ref_u_grad, rows)
 
     state = mlp._value_jac_state(U)
     for cot_val in (cot, np.zeros_like(U)):
-        _close_to_reference(mlp.jac_vjp(U, cot_jac, cot_val, state),
+        _close_to_reference(mlp.jac_vjp(cot_jac, cot_val, state),
                             _ref_jac_vjp(layers, U, cot_jac, cot_val), rows)
 
 
@@ -270,7 +270,7 @@ def test_lipschitz_product_bounds_sampled_estimate():
     sampled = mlp.sampled_lipschitz([-3, -3], [3, 3], samples=4000)
     assert sampled <= mlp.lipschitz_bound()
     # doubling every weight of a 2-layer network quadruples the product
-    doubled = mlp.with_theta(2.0 * mlp.theta)
+    doubled = MLPReaction(mlp.widths, 2.0 * mlp.theta)
     assert doubled.lipschitz_bound() == pytest.approx(4.0 * mlp.lipschitz_bound())
     assert doubled.sampled_lipschitz([-3, -3], [3, 3], samples=4000) <= doubled.lipschitz_bound()
 
@@ -296,7 +296,7 @@ def test_check_conditions_lotka_volterra():
     assert report.quasipos_ok
     assert report.mass_ok
     assert report.growth_ok
-    assert report.constants_label == "sampled"
+    assert report.constants.label == "sampled"
     assert "no violation found" in report.summary()
 
 

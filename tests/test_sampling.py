@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import rdlearn
-from rdlearn._sampling import halton_box
+from rdlearn._sampling import box_quadrature, halton_box
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
@@ -30,6 +30,17 @@ def test_halton_box_equals_scipy_halton_bitwise(dim, seed):
         ours = halton_box(n, lo, hi, seed=seed)
         assert ours.shape == expected.shape == (n, dim)
         assert ours.tobytes() == expected.tobytes()
+
+
+def test_box_quadrature_above_dimension_two_is_quasi_monte_carlo():
+    """From three dimensions on, the rule is 32768 Halton points in the box
+    with equal weights that sum to its volume, the same for the same seed."""
+    lo, hi = np.array([-1.0, 0.0, 0.5]), np.array([1.0, 0.5, 2.0])
+    pts, w = box_quadrature(lo, hi, seed=3)
+    assert pts.shape == (32768, 3) and w.shape == (32768,)
+    assert np.all((pts >= lo) & (pts <= hi))
+    assert w.sum() == pytest.approx(np.prod(hi - lo), rel=1e-12)
+    assert box_quadrature(lo, hi, seed=3)[0].tobytes() == pts.tobytes()
 
 
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.interpolate", "scipy.integrate"])
