@@ -30,7 +30,8 @@ from rdlearn.learn import (BOX, MAX_ITERS, STEP, SUP_POINTS, MeasurementOperator
                            identification_sweep, make_schedule)
 from rdlearn.quasipos import BoundaryLayer, BoundaryMeasure, nonlinear_volume_report, sample_members
 from rdlearn.rdsolve import DiffusionSpec, SpaceTimeGrid, manufactured_convergence, solve
-from rdlearn.reaction import AnalyticReaction, MLPReaction, make_reaction, save_params
+from rdlearn.reaction import (AnalyticReaction, MLPReaction, check_conditions, make_reaction,
+                              save_params)
 from rdlearn.transition import TransitionFunction, build_mollified_heaviside, default_kernel
 
 
@@ -265,14 +266,14 @@ def _profile_values(text: str, grid: SpaceTimeGrid) -> np.ndarray:
     if name == "constant":
         if len(vals) != 1:
             raise ValueError(f"constant profile takes one value, got {text!r}")
-        return np.full(grid.shape, vals[0])
+        return np.full(grid.nodes, vals[0])
     if name == "ramp":
         if len(vals) != 2:
             raise ValueError(f"ramp profile takes base,slope, got {text!r}")
         base, slope = vals
         out = base + slope * axes[0]
         if grid.ndim == 2:
-            out = np.broadcast_to(out[:, None], grid.shape).copy()
+            out = np.broadcast_to(out[:, None], grid.nodes).copy()
         return out
     if name == "cosine":
         if len(vals) != 3:
@@ -286,7 +287,7 @@ def _profile_values(text: str, grid: SpaceTimeGrid) -> np.ndarray:
 
 
 def _initial_state(text: str, key: str, grid: SpaceTimeGrid, n: int) -> np.ndarray:
-    """One trajectory's initial state (n, *grid.shape) from n '|'-separated profiles."""
+    """One trajectory's initial state (n, *grid.nodes) from n '|'-separated profiles."""
     parts = text.split("|")
     if len(parts) != n:
         raise ConfigError(f"{key} needs {n} '|'-separated profiles, got {len(parts)} in {text!r}")
@@ -398,8 +399,6 @@ def _cmd_simulate(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespac
 
 
 def _cmd_check(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) -> int:
-    from rdlearn.reaction import check_conditions
-
     n = cfg.getint("domain", "species", minimum=0)
     f = _maybe_wrap(cfg, _build_reaction(cfg, n))
     if f is None:
@@ -469,7 +468,7 @@ def _cmd_transition(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namesp
     chi = _cutoff(cfg, eps_default=0.1)
     xs = np.linspace(0.0, 1.25 * (chi.eps + chi.delta), 257)
     out.write_csv("transition.csv", ["x", "value", "derivative"],
-                  ((x, chi(x), chi.derivative(x)) for x in xs))
+                  ((x, chi.evaluate(x), chi.derivative(x)) for x in xs))
     out.finish()
     print(f"certified slope bound {chi.slope_bound:.6g} "
           f"(product with eps: {chi.eps * chi.slope_bound:.6g})")
@@ -551,7 +550,7 @@ def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) 
               f"state containment {res.state_containment:.3f}, "
               f"{res.stop_reason} after {res.iterations} iterations")
         chi = build_mollified_heaviside(sched.eps)
-        if chi(box[1]) > 0.0:
+        if chi.evaluate(box[1]) > 0.0:
             print(f"warning: level {row.m}: the cutoff is still positive at the top "
                   f"of the reaction box ({box[1]:g} < eps + delta = "
                   f"{chi.eps + chi.delta:g}): it damps the negative part of the "

@@ -80,7 +80,7 @@ class Cutoffs:
     def __init__(self, chi: TransitionFunction, u: np.ndarray, f: np.ndarray | None = None):
         self.chi, self.u = chi, u
         self.read = f is None or bool((f < 0.0).any()) or bool(np.isnan(u).any())
-        self.values = chi(u) if self.read else np.zeros_like(u)
+        self.values = chi.evaluate(u) if self.read else np.zeros_like(u)
         self._derivatives = None
 
     @property

@@ -477,8 +477,6 @@ class LevelResult:
     reaction box; the learned term is only identified where states visit,
     so values well below 1 flag an extrapolating fit. stop_reason is why
     the loop ended: "converged", "iteration cap" or "step underflow".
-    terms_history holds the terms of every accepted iterate under
-    `keep_terms`, else None.
     """
 
     D: np.ndarray
@@ -489,7 +487,6 @@ class LevelResult:
     terms: dict
     stop_reason: str
     state_containment: float
-    terms_history: list | None = field(default=None, repr=False)
 
     @property
     def converged(self) -> bool:
@@ -505,8 +502,7 @@ class LevelResult:
 
 
 def solve_level(prob: AllAtOnceProblem, x0=None, *, step: float = STEP,
-                max_iters: int = MAX_ITERS, seed: int = 0,
-                keep_terms: bool = False) -> LevelResult:
+                max_iters: int = MAX_ITERS, seed: int = 0) -> LevelResult:
     """Minimize one level with adaptive-moment steps and a monotone guard.
 
     Every proposed point is projected onto the feasible set
@@ -519,7 +515,6 @@ def solve_level(prob: AllAtOnceProblem, x0=None, *, step: float = STEP,
     x = prob.initial_iterate(seed) if x0 is None else np.array(x0, dtype=float)
     obj = prob.objective(x)
     history = [obj]
-    terms_history = [prob.objective_terms(x)] if keep_terms else None
     b1, b2, tiny = 0.9, 0.999, 1e-8
     m = np.zeros_like(x)
     v = np.zeros_like(x)
@@ -542,8 +537,6 @@ def solve_level(prob: AllAtOnceProblem, x0=None, *, step: float = STEP,
             break
         x, obj = x_new, obj_new
         history.append(obj)
-        if keep_terms:
-            terms_history.append(prob.objective_terms(x))
         if it > patience:
             past = history[-patience - 1]
             if past - obj < tol * max(1.0, abs(past)):
@@ -556,8 +549,7 @@ def solve_level(prob: AllAtOnceProblem, x0=None, *, step: float = STEP,
     return LevelResult(D=D, u=u, u0=u0, theta=theta,
                        history=np.asarray(history),
                        terms=prob.objective_terms(x), stop_reason=stop_reason,
-                       state_containment=float(inside.mean()),
-                       terms_history=terms_history)
+                       state_containment=float(inside.mean()))
 
 
 # ---------------------------------------------------------------------------

@@ -204,7 +204,7 @@ class ModifiedFunction:
     def __call__(self, points) -> np.ndarray:
         pts, single = self.layer._normalize(points)
         v = np.asarray(self.base(pts), dtype=float).reshape(pts.shape[0])
-        out = lift(v, self.chi(self.layer._level(pts)))
+        out = lift(v, self.chi.evaluate(self.layer._level(pts)))
         return out[0] if single else out
 
 

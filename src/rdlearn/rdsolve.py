@@ -87,10 +87,6 @@ class SpaceTimeGrid:
         return len(self.nodes)
 
     @property
-    def shape(self) -> tuple:
-        return self.nodes
-
-    @property
     def h(self) -> tuple:
         return tuple(e / (m - 1) for e, m in zip(self.extents, self.nodes))
 
@@ -237,24 +233,6 @@ def _factor_heat_matrix(m: int, r: float) -> tuple:
     return tuple(factors)
 
 
-def _infer_species(f, u0, grid) -> tuple[int, np.ndarray]:
-    u0 = np.asarray(u0, dtype=float)
-    if f is not None:
-        n = f.n_species
-        if u0.shape == grid.shape and n == 1:
-            u0 = u0[None]
-    elif u0.ndim == grid.ndim:
-        n = 1
-        u0 = u0[None]
-    else:
-        n = u0.shape[0]
-    if u0.shape != (n,) + grid.shape:
-        raise ValueError(
-            f"u0 has shape {u0.shape}, expected {(n,) + grid.shape}"
-        )
-    return n, u0
-
-
 def _box_lipschitz(f, u: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """(L, lo, hi): a Lipschitz bound of f on the box of the state u's
     per-species range, widened by 1 and reaching down to -1 at least; lo
@@ -282,15 +260,21 @@ def solve(f, D: DiffusionSpec, u0, grid: SpaceTimeGrid, c=None,
     exceeds 1/2 (pass `lipschitz` to override the bound used) and
     BlowUpError at the first non-finite state. A bound certified on a box
     around u0 is certified again around any state that leaves the box.
-    u0 must be finite and componentwise nonnegative.
+    The species count n is D's: u0 has shape (n, *grid.nodes), f (if
+    given) n species, and u0 must be finite and componentwise nonnegative.
     """
-    n, u0 = _infer_species(f, u0, grid)
+    n = D.n_species
+    u0 = np.asarray(u0, dtype=float)
+    if u0.shape != (n,) + grid.nodes:
+        raise ValueError(f"u0 has shape {u0.shape}, expected {(n,) + grid.nodes}: "
+                         f"the diffusion spec carries {n} species")
+    if f is not None and f.n_species != n:
+        raise ValueError(f"the reaction has {f.n_species} species, "
+                         f"the diffusion spec carries {n}")
     if not np.isfinite(u0).all():
         raise ValueError("u0 must be finite")
     if np.any(u0 < 0.0):
         raise ValueError("u0 must be componentwise nonnegative")
-    if D.n_species != n:
-        raise ValueError(f"diffusion spec carries {D.n_species} species, state has {n}")
     c = as_weights(c, n)
     # each state lies in [lo, hi]: the box the reaction bound holds on, or the finite floats
     hi = np.full((n, 1), np.finfo(float).max)
@@ -312,7 +296,7 @@ def solve(f, D: DiffusionSpec, u0, grid: SpaceTimeGrid, c=None,
 
     w = grid.quadrature_weights().ravel()
     K = grid.steps
-    traj = np.empty((n, K + 1) + grid.shape)
+    traj = np.empty((n, K + 1) + grid.nodes)
     traj[:, 0] = u0
     species_mass = np.empty((n, K + 1))
     species_mass[:, 0] = (u0.reshape(n, -1) * w).sum(axis=1)
@@ -445,40 +429,29 @@ def manufactured_convergence(diffusion: float = 0.7, extent: float = 1.0,
     def exact(t, x):
         return np.exp(-t) * (1.0 + np.cos(np.pi * x / Lx))
 
-    def source_for(grid):
-        x = grid.axis(0)
-        factor = np.pi / Lx
+    D = DiffusionSpec.uniform(diffusion, 1)
+    factor = np.pi / Lx
 
-        def src(t):
-            cos = np.cos(factor * x)
+    def final_error(grid):
+        """Max error at the horizon of the solve on grid, fed the matching source."""
+        x = grid.axis(0)
+        cos = np.cos(factor * x)
+
+        def source(t):
             return (np.exp(-t) * (-1.0 - cos + diffusion * factor ** 2 * cos))[None]
 
-        return src
+        traj = solve(None, D, exact(0.0, x)[None], grid, source=source)
+        return np.max(np.abs(traj.final()[0] - exact(horizon, x)))
 
-    D = DiffusionSpec.uniform(diffusion, 1)
+    def study(grids, spacings):
+        """(spacings, final errors, log-log order) over the grids, solved in order."""
+        spacings = np.array(spacings)
+        errors = np.array([final_error(g) for g in grids])
+        return spacings, errors, float(np.polyfit(np.log(spacings), np.log(errors), 1)[0])
 
-    spatial_h, spatial_err = [], []
-    for level in range(4):
-        nodes = 8 * 2 ** level + 1
-        steps = max(4, int(round(horizon * (nodes - 1) ** 2 / Lx ** 2)))
-        grid = SpaceTimeGrid(Lx, nodes, horizon, steps)
-        x = grid.axis(0)
-        traj = solve(None, D, exact(0.0, x)[None], grid, source=source_for(grid))
-        err = np.max(np.abs(traj.final()[0] - exact(horizon, x)))
-        spatial_h.append(grid.h[0])
-        spatial_err.append(err)
-    spatial_order = float(np.polyfit(np.log(spatial_h), np.log(spatial_err), 1)[0])
-
-    temporal_dt, temporal_err = [], []
-    for level in range(4):
-        steps = 4 * 2 ** level
-        grid = SpaceTimeGrid(Lx, 257, horizon, steps)
-        x = grid.axis(0)
-        traj = solve(None, D, exact(0.0, x)[None], grid, source=source_for(grid))
-        err = np.max(np.abs(traj.final()[0] - exact(horizon, x)))
-        temporal_dt.append(grid.dt)
-        temporal_err.append(err)
-    temporal_order = float(np.polyfit(np.log(temporal_dt), np.log(temporal_err), 1)[0])
-
-    return ConvergenceStudy(np.array(spatial_h), np.array(spatial_err), spatial_order,
-                            np.array(temporal_dt), np.array(temporal_err), temporal_order)
+    spatial = [SpaceTimeGrid(Lx, nodes, horizon,
+                             max(4, int(round(horizon * (nodes - 1) ** 2 / Lx ** 2))))
+               for nodes in (8 * 2 ** level + 1 for level in range(4))]
+    temporal = [SpaceTimeGrid(Lx, 257, horizon, 4 * 2 ** level) for level in range(4)]
+    return ConvergenceStudy(*study(spatial, [g.h[0] for g in spatial]),
+                            *study(temporal, [g.dt for g in temporal]))

@@ -291,9 +291,7 @@ class MLPReaction(ReactionTerm):
         return out[0] if single else out
 
     def jacobian(self, u):
-        ub, single = _atleast_batch(u, self.n_species)
-        _, _, J = self._value_jac_state(ub)[:3]
-        return J[0] if single else J
+        return self.value_and_jacobian(u)[1]
 
     def value_and_jacobian(self, u):
         ub, single = _atleast_batch(u, self.n_species)

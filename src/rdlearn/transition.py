@@ -161,9 +161,6 @@ class TransitionFunction:
                 f"delta must lie in (0, eps) = (0, {self.eps}), got {self.delta}"
             )
 
-    def __call__(self, x) -> np.ndarray:
-        return self.evaluate(x)
-
     def evaluate(self, x) -> np.ndarray:
         """chi(x) = 1 - E((x - eps) / delta), vectorized. Plateau values are
         exact 1.0 / 0.0, from the table's end panels; NaN stays NaN."""

@@ -234,10 +234,13 @@ BAD_WEIGHTS_CFG = SIM_CFG.replace("diffusion = 0.05", "diffusion = 0.05\nweights
      "config error: domain.initial: cosine profile takes base,amp,modes, got 'cosine:0.5,0.4'"),
     ("learn", LEARN_CFG.replace("constant:0.4", "constant:x"),
      "config error: domain.initials: initial profile arguments must be numbers: 'constant:x'"),
+    ("simulate", SIM_CFG.replace("fisher-kpp", "none"),
+     "config error: wrapper.eps given but reaction.name is 'none'"),
 ], ids=["diffusion", "weights-simulate", "weights-check", "delta", "diffusion-learn", "kind",
         "levels-order-option", "levels-start-option", "levels-order-config",
         "levels-start-config", "lam0", "q", "noise", "diffusion-floor", "widths-positive",
-        "gamma-beta", "initials", "levels-wrap-rates", "profile-simulate", "profile-learn"])
+        "gamma-beta", "initials", "levels-wrap-rates", "profile-simulate", "profile-learn",
+        "wrapper-without-reaction"])
 def test_inconsistent_values_exit_2_and_name_the_key(command, text, named, tmp_path, capsys):
     cfg = write(tmp_path, text)
     code = main(command.split() + ["--config", cfg, "--out", str(tmp_path / "o")])
@@ -336,6 +339,57 @@ def test_trajectory_bytes_match_a_row_by_row_reference(case, tmp_path):
     traj = solve(f, D, u0, grid, c=c)
     with open(os.path.join(out, "trajectory.csv"), newline="") as fh:
         assert fh.read() == header + reference_rows(traj.values, grid)
+
+
+LV_CFG = """\
+[domain]
+extent = 1.0
+species = 2
+initial = constant:0.5|cosine:0.1,0.05,1
+
+[grid]
+nodes = 11
+horizon = 0.2
+steps = 10
+
+[reaction]
+name = lotka-volterra
+diffusion = 0.01
+
+[wrapper]
+eps = 0.2
+"""
+
+
+def test_simulate_without_a_wrapper_runs_the_bare_catalog_term(tmp_path):
+    """No [wrapper] section: the catalog term is solved as it is. The second
+    species starts on the cutoff's plateau, where it would decay bare but
+    the wrapped term stops it, so the two runs differ."""
+    bare_cfg = write(tmp_path, LV_CFG.replace("[wrapper]\neps = 0.2\n", ""), "bare.cfg")
+    wrapped_cfg = write(tmp_path, LV_CFG, "wrapped.cfg")
+    bare, wrapped = str(tmp_path / "bare"), str(tmp_path / "wrapped")
+    assert main(["simulate", "--config", bare_cfg, "--out", bare]) == 0
+    assert main(["simulate", "--config", wrapped_cfg, "--out", wrapped]) == 0
+    grid = SpaceTimeGrid(1.0, 11, 0.2, 10)
+    u0 = np.stack([np.full(grid.nodes, 0.5), cosine(grid, 0.1, 0.05, 1)])
+    traj = solve(make_reaction("lotka-volterra"), DiffusionSpec((0.01, 0.01)), u0, grid)
+    with open(os.path.join(bare, "trajectory.csv"), newline="") as fh:
+        text = fh.read()
+    assert text == "t,x,species_1,species_2\n" + reference_rows(traj.values, grid)
+    with open(os.path.join(wrapped, "trajectory.csv"), newline="") as fh:
+        assert fh.read() != text
+
+
+def test_simulate_pure_diffusion_conserves_the_weighted_mass(tmp_path):
+    """reaction.name = none is pure diffusion, and with trapezoid weights
+    w^T L = 0: the mass_weighted column is constant to rounding."""
+    text = SIM_CFG.replace("fisher-kpp", "none").replace("[wrapper]\neps = 0.2\n", "")
+    out = str(tmp_path / "o")
+    assert main(["simulate", "--config", write(tmp_path, text), "--out", out]) == 0
+    diag = np.genfromtxt(os.path.join(out, "diagnostics.csv"), delimiter=",", names=True)
+    assert diag.shape == (61,)
+    mass = diag["mass_weighted"]
+    assert np.max(np.abs(mass - mass[0])) <= 1e-13 * mass[0]
 
 
 SPECIAL_FLOATS = {-0.0: "-0", 5e-324: "4.9406564584124654e-324", 1e22: "1e+22",

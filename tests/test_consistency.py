@@ -129,7 +129,7 @@ def test_shared_cutoff_is_one_call_with_per_column_bits(n, rows, monkeypatch):
         cut = Cutoffs(chi, u, given)
         values, derivatives = cut.values, cut.derivatives
         assert calls == ["evaluate", "derivative"]
-        expected = np.column_stack([chi(u[:, k]) for k in range(n)])
+        expected = np.column_stack([chi.evaluate(u[:, k]) for k in range(n)])
         assert values.tobytes() == expected.tobytes()
         expected = np.column_stack([chi.derivative(u[:, k]) for k in range(n)])
         assert derivatives.tobytes() == expected.tobytes()
@@ -385,6 +385,13 @@ def test_constants_reject_the_weights_check_conditions_rejects(c):
     assert str(at_constants.value) == str(at_check.value)
 
 
+def test_constants_without_a_lipschitz_bound_are_unavailable():
+    """A catalog term carries no certificate: wrapped without `lipschitz`,
+    only K0 is derived, and the constants say they are unavailable."""
+    g = wrap(make_reaction("fisher-kpp"), build_mollified_heaviside(0.2))
+    assert g.consistency_constants() == ConsistencyConstants(0.0, None, None, None, "unavailable")
+
+
 def test_local_lipschitz_profile():
     mlp = MLPReaction.from_seed((2, 8, 2), seed=2)
     chi = build_mollified_heaviside(0.2)
@@ -416,6 +423,18 @@ def test_check_conditions_on_wrapped_term():
     assert report.mass_ok
     assert report.growth_ok
     assert report.constants.label == "certified"
+
+
+def test_check_conditions_summary_shows_the_certified_bound():
+    mlp = MLPReaction.from_seed((2, 4, 2), seed=3)
+    g = wrap(mlp, build_mollified_heaviside(0.2))
+    lo, hi = [0.0, 0.0], [1.0, 1.0]
+    report = check_conditions(g, lo, hi, samples=500)
+    assert report.lipschitz_certified == g.lipschitz_bound(lo, hi)
+    assert report.lipschitz_estimate <= report.lipschitz_certified
+    line = report.summary().splitlines()[1]
+    assert line.startswith("(L) Lipschitz estimate on ball radius ")
+    assert line.endswith(f" (certified bound {report.lipschitz_certified:.6g})")
 
 
 def test_schedule_properties():

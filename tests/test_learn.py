@@ -564,9 +564,13 @@ def test_solve_level_says_why_it_stopped(monkeypatch):
     assert len(calls) == 1 + 41
 
 
-def test_optimizer_never_lifts_misfit_off_its_floor():
+def test_optimizer_never_lifts_misfit_off_its_floor(monkeypatch):
     """With clean full data, the truth inserted and a huge misfit weight,
-    no accepted step may raise the data misfit above rounding scale."""
+    no accepted step may raise the data misfit above rounding scale.
+
+    Every step starts with the gradient at the last accepted iterate, so
+    recording the terms there sees x0 and each accepted iterate but the
+    last, whose terms the result carries."""
     truth = diffusion_truth()
     op = MeasurementOperator("full")
     data = op.apply(truth.values, GRID)
@@ -575,8 +579,17 @@ def test_optimizer_never_lifts_misfit_off_its_floor():
     prob = small_problem(op, data=data, sched=sched)
     x0 = prob.pack(np.full((1, 1), 0.05), truth.values[None],
                    truth.initial()[None], np.zeros(MLPReaction.parameter_count(prob.widths)))
-    res = solve_level(prob, x0, step=0.01, max_iters=50, keep_terms=True)
-    worst = max(t["data_misfit"] for t in res.terms_history)
+    seen = []
+    gradient = prob.gradient
+
+    def recording_gradient(x):
+        seen.append(prob.objective_terms(x))
+        return gradient(x)
+
+    monkeypatch.setattr(prob, "gradient", recording_gradient)
+    res = solve_level(prob, x0, step=0.01, max_iters=50)
+    assert len(seen) == res.iterations
+    worst = max(t["data_misfit"] for t in seen + [res.terms])
     assert worst <= 1e-10
     # the truth lives in [0.3, 0.8], well inside the default box
     assert res.state_containment >= 0.99
@@ -607,6 +620,27 @@ def test_identification_sweep_runs_the_level_loop():
         assert row.objective == pytest.approx(res.objective)
         assert res.theta.shape == (13,)
     assert len({tuple(r.theta) for r in results}) == 3
+
+
+def test_identification_sweep_runs_two_species():
+    """Two species reach the Halton sup-error probe and the 2D quadrature
+    of the reaction box."""
+    lv = make_reaction("lotka-volterra")
+    grid = SpaceTimeGrid(1.0, 9, 0.2, 8)
+    x = grid.axis(0)
+    u0 = np.stack([np.stack([0.3 + 0.5 * x, 0.8 - 0.4 * x]),
+                   np.stack([np.full(9, 0.6), 0.2 + 0.3 * x])])
+    scheds = make_schedule(2.0, 1.0, 0.5, lam0=10.0)
+    ops = [MeasurementOperator("full") for _ in scheds]
+    rows, results = identification_sweep(
+        lv, 0.05, u0, grid, scheds, ops, (2, 4, 2), seed=0,
+        step=0.05, max_iters=5, sup_points=32)
+    assert [r.m for r in rows] == [1, 2, 3]
+    for row, res in zip(rows, results):
+        assert np.isfinite([row.objective, row.residual_term, row.misfit_term,
+                            row.sup_error, row.d_error]).all()
+        assert res.theta.shape == (22,)
+        assert res.D.shape == (2, 2)
 
 
 def test_identification_sweep_rejects_mismatched_operator_count():

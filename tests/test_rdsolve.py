@@ -105,13 +105,13 @@ def test_pure_diffusion_conserves_mass_2d():
 
 def test_zero_data_stays_identically_zero():
     g = SpaceTimeGrid(1.0, 21, 1.0, 30)
-    traj = solve(None, DiffusionSpec.uniform(1.0, 1), np.zeros((1,) + g.shape), g)
+    traj = solve(None, DiffusionSpec.uniform(1.0, 1), np.zeros((1,) + g.nodes), g)
     assert np.all(traj.values == 0.0)
 
 
 def test_constant_state_is_a_fixed_point_of_diffusion():
     g = SpaceTimeGrid(1.0, 11, 1.0, 50)
-    traj = solve(None, DiffusionSpec.uniform(0.7, 1), np.full((1,) + g.shape, 2.5), g)
+    traj = solve(None, DiffusionSpec.uniform(0.7, 1), np.full((1,) + g.nodes, 2.5), g)
     assert np.max(np.abs(traj.values - 2.5)) < 1e-13
 
 
@@ -123,9 +123,9 @@ def test_source_hook_reduces_to_scalar_recursion():
     traj = solve(
         None,
         DiffusionSpec.uniform(1.0, 1),
-        np.full((1,) + g.shape, c0),
+        np.full((1,) + g.nodes, c0),
         g,
-        source=lambda t: np.full((1,) + g.shape, -np.exp(-t) * c0),
+        source=lambda t: np.full((1,) + g.nodes, -np.exp(-t) * c0),
     )
     v = c0
     for t in g.times()[:-1]:
@@ -141,7 +141,7 @@ def test_diffusion_keeps_nonnegativity_and_mass(seed, d):
     nonnegative for any diffusion coefficient and the mass identity holds."""
     rng = np.random.default_rng(seed)
     g = SpaceTimeGrid(1.0, 17, 0.3, 12)
-    u0 = rng.uniform(0.0, 1.0, size=(1,) + g.shape)
+    u0 = rng.uniform(0.0, 1.0, size=(1,) + g.nodes)
     traj = solve(None, DiffusionSpec.uniform(d, 1), u0, g)
     assert traj.min_value >= -1e-12
     assert np.abs(np.diff(traj.masses)).max() < 1e-12
@@ -298,7 +298,7 @@ def test_state_leaving_its_box_is_certified_again():
 def test_blow_up_reports_first_bad_step():
     boom = AnalyticReaction("boom", 1, lambda u: 2000.0 * u * u)
     g = SpaceTimeGrid(1.0, 21, 1.0, 400)
-    u0 = np.full((1,) + g.shape, 2.0)
+    u0 = np.full((1,) + g.nodes, 2.0)
     with pytest.raises(BlowUpError, match="non-finite") as info:
         solve(boom, DiffusionSpec.uniform(0.01, 1), u0, g, lipschitz=0.0)
     assert info.value.step == 9  # doubling cascade overflows at a fixed step
@@ -317,7 +317,7 @@ def test_non_finite_state_in_a_certified_box_is_a_blow_up():
 
 def test_solver_input_validation():
     g = SpaceTimeGrid(1.0, 11, 1.0, 10)
-    u0 = np.ones((1,) + g.shape)
+    u0 = np.ones((1,) + g.nodes)
     with pytest.raises(ValueError, match="nonnegative"):
         solve(None, DiffusionSpec.uniform(1.0, 1), -u0, g)
     with pytest.raises(ValueError, match="carries 2 species"):
@@ -361,7 +361,7 @@ def test_conserved_audit_is_flat():
 
 def test_audit_requires_tolerance_for_passed():
     g = SpaceTimeGrid(1.0, 11, 0.1, 5)
-    traj = solve(None, DiffusionSpec.uniform(1.0, 1), np.ones((1,) + g.shape), g)
+    traj = solve(None, DiffusionSpec.uniform(1.0, 1), np.ones((1,) + g.nodes), g)
     audit = mass_audit(traj)
     with pytest.raises(ValueError, match="tolerance"):
         audit.passed
@@ -397,7 +397,7 @@ def test_wrapped_network_passes_certified_audit():
 
 def test_audit_weight_validation():
     g = SpaceTimeGrid(1.0, 11, 0.1, 5)
-    traj = solve(None, DiffusionSpec.uniform(1.0, 1), np.ones((1,) + g.shape), g)
+    traj = solve(None, DiffusionSpec.uniform(1.0, 1), np.ones((1,) + g.nodes), g)
     with pytest.raises(ValueError, match="positive"):
         mass_audit(traj, c=np.array([0.0]))
 
@@ -433,7 +433,7 @@ def reference_march(f, D, u0, grid, source=None):
             for dn in D.as_array()]
 
     w = grid.quadrature_weights()
-    traj = np.empty((n, grid.steps + 1) + grid.shape)
+    traj = np.empty((n, grid.steps + 1) + grid.nodes)
     mass = np.empty((n, grid.steps + 1))
     traj[:, 0] = u0
     mass[:, 0] = [float(np.sum(w * u0[i])) for i in range(n)]

@@ -310,6 +310,14 @@ def test_check_conditions_flags_negative_constant():
     assert neg.eval(np.array(point))[comp] == value
 
 
+def test_check_conditions_summary_names_the_worst_face_value():
+    shift = AnalyticReaction("shift", 1, lambda u: u - 0.5)
+    report = check_conditions(shift, [0.0], [1.0], samples=50)
+    assert report.quasipos_ok is False
+    assert len(report.quasipos_violations) == 50
+    assert "(Q) quasipositivity: 50 violations, worst -0.5" in report.summary().splitlines()
+
+
 def test_check_conditions_input_validation():
     fk = make_reaction("fisher-kpp")
     with pytest.raises(ValueError, match="samples"):

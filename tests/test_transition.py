@@ -86,7 +86,7 @@ def test_integral_of_matches_quadrature():
 
     chi = build_mollified_heaviside(0.2)
     x = np.sort(np.random.default_rng(4).uniform(chi.eps - chi.delta, chi.eps + chi.delta, 10**6))
-    values = chi(x)
+    values = chi.evaluate(x)
     assert np.all(np.diff(values) <= 0.0)
     assert values.min() >= 0.0 and values.max() <= 1.0
 
@@ -95,17 +95,17 @@ def test_closed_form_matches_convolution_oracle():
     k = default_kernel()
     eps = 0.2
     chi = build_mollified_heaviside(eps, k)
-    assert chi(0.05) == 1.0  # plateau, exact
-    assert chi(0.35) == 0.0  # plateau, exact
-    assert chi(0.2) == pytest.approx(0.5, abs=1e-9)  # ramp midpoint by symmetry
+    assert chi.evaluate(0.05) == 1.0  # plateau, exact
+    assert chi.evaluate(0.35) == 0.0  # plateau, exact
+    assert chi.evaluate(0.2) == pytest.approx(0.5, abs=1e-9)  # ramp midpoint by symmetry
     for x in [0.11, 0.13, 0.17, 0.2, 0.23, 0.27, 0.29]:
-        assert chi(x) == pytest.approx(conv_oracle(k, eps, x), abs=1e-8)
+        assert chi.evaluate(x) == pytest.approx(conv_oracle(k, eps, x), abs=1e-8)
 
 
 def test_plateaus_bitwise_exact():
     chi = build_mollified_heaviside(0.2)
-    left = chi(np.array([-5.0, 0.0, 0.05, 0.1]))
-    right = chi(np.array([0.3, 0.35, 2.0, 1e9]))
+    left = chi.evaluate(np.array([-5.0, 0.0, 0.05, 0.1]))
+    right = chi.evaluate(np.array([0.3, 0.35, 2.0, 1e9]))
     assert np.all(left == 1.0)
     assert np.all(right == 0.0)
     assert np.all(chi.derivative(np.array([0.05, 0.1, 0.3, 2.0])) == 0.0)
@@ -114,9 +114,9 @@ def test_plateaus_bitwise_exact():
 def test_non_finite_input_is_not_hidden_by_the_plateaus():
     chi = build_mollified_heaviside(0.2)
     x = np.array([np.nan, -np.inf, np.inf, 0.05, 2.0])
-    value, slope = chi(x), chi.derivative(x)
+    value, slope = chi.evaluate(x), chi.derivative(x)
     assert np.isnan(value[0]) and np.isnan(slope[0])
-    assert np.isnan(chi(np.nan)) and np.isnan(chi.derivative(np.nan))
+    assert np.isnan(chi.evaluate(np.nan)) and np.isnan(chi.derivative(np.nan))
     assert np.isnan(chi.kernel.integral_of(x)).tolist() == [True] + [False] * 4
     eta = chi.kernel(x)
     assert np.isnan(eta[0]) and np.isnan(chi.kernel(np.nan))
@@ -168,15 +168,15 @@ def test_clipped_cutoff_path_is_the_masked_one_bitwise(eps):
         ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
         [np.inf, -np.inf, np.nan, 0.0, -0.0],
     ])
-    assert chi(x).tobytes() == masked_evaluate(chi, x).tobytes()
+    assert chi.evaluate(x).tobytes() == masked_evaluate(chi, x).tobytes()
     batch = x[: 2 * (x.size // 2)].reshape(-1, 2)
     # row-major, column-major and strided, as the solver's transposed state
     for b in (batch, np.asfortranarray(batch), batch[::3], batch.T.copy().T[::2]):
-        assert chi(b).shape == b.shape
-        assert chi(b).tobytes() == masked_evaluate(chi, b).tobytes()
+        assert chi.evaluate(b).shape == b.shape
+        assert chi.evaluate(b).tobytes() == masked_evaluate(chi, b).tobytes()
     arg = (x - chi.eps) / chi.delta
     assert chi.kernel.integral_of(arg).tobytes() == masked_integral_of(chi.kernel, arg).tobytes()
-    assert chi(lo) == 1.0 and chi(hi) == 0.0 and np.isnan(chi(np.nan))
+    assert chi.evaluate(lo) == 1.0 and chi.evaluate(hi) == 0.0 and np.isnan(chi.evaluate(np.nan))
 
 
 def test_table_end_panels_are_exact_plateaus():
@@ -233,7 +233,7 @@ def test_derivative_matches_central_differences():
     pts = qmc.Halton(d=1, scramble=True, seed=7).random(100).ravel()
     xs = chi.eps - chi.delta + 2.0 * chi.delta * pts
     h = 1e-6
-    fd = (chi(xs + h) - chi(xs - h)) / (2.0 * h)
+    fd = (chi.evaluate(xs + h) - chi.evaluate(xs - h)) / (2.0 * h)
     an = chi.derivative(xs)
     assert np.all(an <= 0.0)
     # relative to the derivative scale: near the ramp edges the kernel
@@ -273,9 +273,9 @@ def test_sup_abs_derivative_is_the_maximum_of_eta_prime():
 
 def test_general_half_width():
     chi = TransitionFunction(eps=0.5, delta=0.1, kernel=default_kernel())
-    assert chi(0.4) == 1.0
-    assert chi(0.6) == 0.0
-    assert 0.0 < chi(0.55) < chi(0.45) < 1.0
+    assert chi.evaluate(0.4) == 1.0
+    assert chi.evaluate(0.6) == 0.0
+    assert 0.0 < chi.evaluate(0.55) < chi.evaluate(0.45) < 1.0
     assert derivative_bound(chi) == pytest.approx(chi.slope_bound, rel=1e-6)
 
 
@@ -302,7 +302,7 @@ def test_default_kernel_is_cached():
 def test_monotone_and_bounded(eps, a, b):
     chi = build_mollified_heaviside(eps)
     x1, x2 = sorted((a * eps, b * eps))
-    v1, v2 = chi(x1), chi(x2)
+    v1, v2 = chi.evaluate(x1), chi.evaluate(x2)
     assert 0.0 <= v2 <= v1 <= 1.0
 
 
