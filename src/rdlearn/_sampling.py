@@ -1,4 +1,4 @@
-"""Deterministic low-discrepancy sampling, quadrature and box helpers."""
+"""Deterministic low-discrepancy sampling, quadrature and shared normalisers."""
 
 from __future__ import annotations
 
@@ -25,6 +25,21 @@ def as_box(lo, hi, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(lo < hi):
         raise ValueError("box requires lo < hi in every coordinate")
     return lo, hi
+
+
+def as_tuple(value, kind) -> tuple:
+    """A scalar or a sequence as a tuple of `kind` values, one per entry."""
+    return tuple(kind(v) for v in np.atleast_1d(np.asarray(value)))
+
+
+def as_batch(u, n: int) -> tuple[np.ndarray, bool]:
+    """(batch (S, n), single): a 1-D u is one point in R^n, a 2-D u a batch."""
+    u = np.asarray(u, dtype=float)
+    single = u.ndim == 1
+    batch = u[None] if single else u
+    if batch.ndim != 2 or batch.shape[1] != n:
+        raise ValueError(f"expected points in R^{n}, ({n},) or a batch (S, {n}), got shape {u.shape}")
+    return batch, single
 
 
 def as_weights(c, n: int) -> np.ndarray:

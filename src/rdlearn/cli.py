@@ -126,6 +126,8 @@ class ExperimentConfig:
             value = float(raw)
         except ValueError:
             raise ConfigError(f"{section}.{key} must be a number, got {raw!r}") from None
+        if not np.isfinite(value):
+            raise ConfigError(f"{section}.{key} must be finite, got {raw!r}")
         if minimum is not None and not value > minimum:
             raise ConfigError(f"{section}.{key} must be > {minimum}, got {value}")
         return value
@@ -143,11 +145,14 @@ class ExperimentConfig:
                 raise ConfigError(f"missing required config key {section}.{key}")
             return list(default)
         try:
-            return [float(part) for part in raw.split(",")]
+            values = [float(part) for part in raw.split(",")]
         except ValueError:
             raise ConfigError(
                 f"{section}.{key} must be comma-separated numbers, got {raw!r}"
             ) from None
+        if not np.isfinite(values).all():
+            raise ConfigError(f"{section}.{key} must be finite, got {raw!r}")
+        return values
 
     def getints(self, section, key, default=None) -> list:
         vals = self.getfloats(section, key, default=default)

@@ -43,9 +43,8 @@ from functools import cached_property
 
 import numpy as np
 
-from rdlearn._sampling import as_box, as_weights, sup_sample
-from rdlearn.reaction import (ConsistencyConstants, MLPReaction, ReactionTerm, _atleast_batch,
-                              mass_growth_constants)
+from rdlearn._sampling import as_batch, as_box, as_weights, sup_sample
+from rdlearn.reaction import ConsistencyConstants, MLPReaction, ReactionTerm, mass_growth_constants
 from rdlearn.transition import TransitionFunction, build_mollified_heaviside
 
 
@@ -141,7 +140,7 @@ class ConsistentReaction(ReactionTerm):
     def eval(self, u):
         """fbar(u) = f - P_-(f) chi(u_n). The base term runs first, so a
         batch with no f_n < 0 (and no NaN u_n) evaluates no cutoff."""
-        ub, single = _atleast_batch(u, self.n_species)
+        ub, single = as_batch(u, self.n_species)
         f = self.base.eval(ub)
         out = lift(f, self.cutoffs(ub, f).values)
         return out[0] if single else out
@@ -154,7 +153,7 @@ class ConsistentReaction(ReactionTerm):
         carry the batch's cutoffs when they are already known; otherwise
         they are read only if some f_n < 0.
         """
-        ub, single = _atleast_batch(u, self.n_species)
+        ub, single = as_batch(u, self.n_species)
         f, J = self.base.value_and_jacobian(ub)
         scale, d_u = lift_partials(f, self.cutoffs(ub, f) if cut is None else cut)
         out = scale[:, :, None] * J
@@ -172,7 +171,7 @@ class ConsistentReaction(ReactionTerm):
         only if the tape is replayed.
         """
         self._require_param()
-        ub, _ = _atleast_batch(u, self.n_species)
+        ub, _ = as_batch(u, self.n_species)
         f, acts = self.base.forward(ub)
         cut = self.cutoffs(ub, f) if cut is None else cut
         return WrappedTape(cut, f, acts, lift(f, cut.values))
@@ -312,6 +311,16 @@ class RateStudy:
                    self.fitted_slope)
 
 
+def _fitted_rate(x, y) -> float | None:
+    """Least-squares slope of log y against log x over the entries with y
+    above 1e-14, or None when fewer than two are left to fit."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    keep = y > 1e-14
+    if np.count_nonzero(keep) < 2:
+        return None
+    return float(np.polyfit(np.log(x[keep]), np.log(y[keep]), 1)[0])
+
+
 def _sup_error(a: ReactionTerm, b: ReactionTerm, points) -> float:
     return float(np.max(np.abs(a.eval(points) - b.eval(points))))
 
@@ -338,11 +347,9 @@ def rate_preservation_study(f_target: ReactionTerm, approx_family,
         fm = approx_family(m)
         raw[i] = _sup_error(f_target, fm, points)
         wrapped[i] = _sup_error(f_target, wrap(fm, sched.chi(m)), points)
-    keep = wrapped > 1e-14
-    if np.count_nonzero(keep) < 2:
+    slope = _fitted_rate(levels, wrapped)
+    if slope is None:
         raise ValueError("wrapped sup errors below floor at all levels; nothing to fit")
-    slope = float(np.polyfit(np.log(np.array(levels, dtype=float)[keep]),
-                             np.log(wrapped[keep]), 1)[0])
     return RateStudy(np.array(levels), eps, raw, wrapped, slope,
                      sched.preserved_rate)
 
@@ -376,8 +383,5 @@ def strict_rate_estimate(f: ReactionTerm, lo, hi, component: int,
             continue
         pts = sup_sample(clo, chi_, seed=seed)
         sups.append(float(np.max(-np.minimum(f.eval(pts)[:, n], 0.0))))
-    sups = np.array(sups)
-    keep = sups > 1e-14
-    if np.count_nonzero(keep) < 2:
-        return math.inf
-    return float(np.polyfit(np.log(np.array(eps_list)[keep]), np.log(sups[keep]), 1)[0])
+    rate = _fitted_rate(eps_list, sups)
+    return math.inf if rate is None else rate

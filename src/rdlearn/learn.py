@@ -481,7 +481,6 @@ class LevelResult:
 
     D: np.ndarray
     u: np.ndarray = field(repr=False)
-    u0: np.ndarray = field(repr=False)
     theta: np.ndarray = field(repr=False)
     history: np.ndarray = field(repr=False)
     terms: dict
@@ -543,10 +542,10 @@ def solve_level(prob: AllAtOnceProblem, x0=None, *, step: float = STEP,
                 stop_reason = "converged"
                 break
 
-    D, u, u0, theta = prob.unpack(x)
+    D, u, _, theta = prob.unpack(x)
     inside = ((u >= prob.box_lo[None, :, None, None])
               & (u <= prob.box_hi[None, :, None, None]))
-    return LevelResult(D=D, u=u, u0=u0, theta=theta,
+    return LevelResult(D=D, u=u, theta=theta,
                        history=np.asarray(history),
                        terms=prob.objective_terms(x), stop_reason=stop_reason,
                        state_containment=float(inside.mean()))
@@ -579,7 +578,8 @@ def identification_sweep(f_true, d_true: float, u0_profiles, grid: SpaceTimeGrid
     through that level's operator, perturb with noise of radius delta(m),
     solve the all-at-once problem over all trajectories jointly, and score
     the learned wrapped reaction against the true one in sup norm over the
-    reaction box. Good recovery across the whole box needs the trajectory
+    reaction box. u0_profiles is (L, n, *grid.nodes), one initial state per
+    trajectory. Good recovery across the whole box needs the trajectory
     family to cover it; a single profile identifies the reaction only on
     the states it visits. Returns (rows, results).
     """
@@ -587,8 +587,9 @@ def identification_sweep(f_true, d_true: float, u0_profiles, grid: SpaceTimeGrid
         raise ValueError("one operator per schedule level")
     n = widths[0]
     u0_profiles = np.asarray(u0_profiles, dtype=float)
-    if u0_profiles.ndim == 2:
-        u0_profiles = u0_profiles[None]
+    if u0_profiles.shape[1:] != (n,) + grid.nodes or u0_profiles.size == 0:
+        raise ValueError(f"u0_profiles has shape {u0_profiles.shape}, expected (L, n, *grid.nodes)"
+                         f" = (L, {n}, {', '.join(map(str, grid.nodes))}) with L >= 1")
     D_true = DiffusionSpec.uniform(d_true, n)
     truths = [solve(f_true, D_true, u0, grid, lipschitz=lipschitz)
               for u0 in u0_profiles]

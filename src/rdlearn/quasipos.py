@@ -27,11 +27,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rdlearn._sampling import box_quadrature, halton_box, sup_sample
+from rdlearn._sampling import as_batch, as_tuple, box_quadrature, halton_box, sup_sample
 from rdlearn.consistency import lift
 from rdlearn.transition import TransitionFunction, default_kernel
 
 _MODES = ("metric", "componentwise", "nonlinear")
+
+
+def _upper_corner(hi) -> tuple:
+    """The upper corner of a box [0, hi] as floats, each positive and finite."""
+    hi = as_tuple(hi, float)
+    if not all(0.0 < h < np.inf for h in hi):  # NaN fails too
+        raise ValueError(f"box upper corner must be positive and finite, got {hi}")
+    return hi
 
 
 def section_profile(x) -> np.ndarray:
@@ -52,7 +60,8 @@ class BoundaryLayer:
     mode "metric" keeps x with min_n x_n < eps (strict), "componentwise"
     keeps |x_component| <= eps, "nonlinear" keeps the section_profile
     product <= eps. The domain is the box [0, hi] when hi is given and the
-    unbounded orthant with `dim` coordinates otherwise.
+    unbounded orthant with `dim` coordinates otherwise. As for reaction
+    terms (`as_batch`), a 1-D array is one point and a 2-D array a batch.
     """
 
     eps: float
@@ -67,9 +76,7 @@ class BoundaryLayer:
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.hi is not None:
-            hi = tuple(float(h) for h in np.atleast_1d(np.asarray(self.hi, dtype=float)))
-            if any(h <= 0.0 for h in hi):
-                raise ValueError(f"box upper corner must be positive, got {hi}")
+            hi = _upper_corner(self.hi)
             if self.dim is not None and self.dim != len(hi):
                 raise ValueError(
                     f"dim={self.dim} disagrees with upper corner of length {len(hi)}"
@@ -83,22 +90,9 @@ class BoundaryLayer:
                 f"component {self.component} out of range for dim {self.dim}"
             )
 
-    def with_eps(self, eps: float) -> "BoundaryLayer":
-        """The same layer family at a different width."""
-        return dataclasses.replace(self, eps=float(eps))
-
     def _normalize(self, points) -> tuple[np.ndarray, bool]:
-        pts = np.asarray(points, dtype=float)
-        if self.dim == 1 and pts.ndim == 1:
-            single = pts.size == 1
-            pts = pts[:, None]
-        elif pts.ndim == 1:
-            single = True
-            pts = pts[None, :]
-        else:
-            single = False
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise ValueError(f"expected points in R^{self.dim}, got shape {pts.shape}")
+        """(batch (S, dim), single) by `as_batch`, checked to lie in the domain."""
+        pts, single = as_batch(points, self.dim)
         if np.any(pts < 0.0):
             raise ValueError("point outside the domain: negative coordinate")
         if self.hi is not None and np.any(pts > np.asarray(self.hi)):
@@ -120,14 +114,9 @@ class BoundaryLayer:
         return out[0] if single else out
 
     def members(self, points) -> np.ndarray:
-        """Vectorized membership over a batch of domain points."""
-        value = self._level(self._normalize(points)[0])
-        if self.mode == "metric":
-            return value < self.eps
-        return value <= self.eps
-
-    def member(self, x) -> bool:
-        return bool(self.members(x)[0])
+        """Membership: one bool for a point, one per point for a batch."""
+        value = self.level_value(points)
+        return value < self.eps if self.mode == "metric" else value <= self.eps
 
 
 @dataclass(frozen=True)
@@ -144,10 +133,7 @@ class BoundaryMeasure:
     seed: int = 0
 
     def __post_init__(self):
-        hi = tuple(float(h) for h in np.atleast_1d(np.asarray(self.hi, dtype=float)))
-        if any(h <= 0.0 for h in hi):
-            raise ValueError(f"box upper corner must be positive, got {hi}")
-        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "hi", _upper_corner(self.hi))
         if self.samples < 100:
             raise ValueError("need at least 100 samples for a variance estimate")
 
@@ -230,7 +216,6 @@ class ApproximationStudy:
     raw_error: np.ndarray
     modified_error: np.ndarray
     boundary_min: np.ndarray
-    norm: str
 
     def rows(self):
         """(m, eps, delta, raw_error, modified_error) per level, for CSV."""
@@ -241,7 +226,7 @@ class ApproximationStudy:
 
 def approximation_experiment(f_target, approx_family, eps_seq, delta_seq,
                              layer: BoundaryLayer, norm: str = "sup",
-                             p: float = 2.0, seed: int = 0) -> ApproximationStudy:
+                             p: float = 2.0) -> ApproximationStudy:
     """Errors of raw vs modified approximants under shrinking schedules.
 
     approx_family maps the level m = 1, 2, ... to a scalar field on the
@@ -274,10 +259,10 @@ def approximation_experiment(f_target, approx_family, eps_seq, delta_seq,
     lo = np.zeros(layer.dim)
     hi = np.asarray(layer.hi)
     if norm == "sup":
-        pts = sup_sample(lo, hi, seed=seed)
+        pts = sup_sample(lo, hi)
         wts = None
     else:
-        pts, wts = box_quadrature(lo, hi, nodes_per_dim=200, seed=seed)
+        pts, wts = box_quadrature(lo, hi, nodes_per_dim=200)
     target_vals = np.asarray(f_target(pts), dtype=float).reshape(pts.shape[0])
 
     def err(vals):
@@ -290,7 +275,7 @@ def approximation_experiment(f_target, approx_family, eps_seq, delta_seq,
              else list(range(layer.dim)))
     face_pts = []
     for n in faces:
-        q = halton_box(2_000, lo, hi, seed=seed + 7 + n)
+        q = halton_box(2_000, lo, hi, seed=7 + n)
         q[:, n] = 0.0
         face_pts.append(q)
     face_pts = np.vstack(face_pts)
@@ -301,19 +286,19 @@ def approximation_experiment(f_target, approx_family, eps_seq, delta_seq,
     face_min = np.empty(levels.size)
     for i, m in enumerate(levels):
         fm = approx_family(int(m))
-        fmod = modify(fm, layer.with_eps(eps_seq[i]), delta_seq[i])
+        fmod = modify(fm, dataclasses.replace(layer, eps=eps_seq[i]), delta_seq[i])
         raw[i] = err(np.asarray(fm(pts), dtype=float).reshape(pts.shape[0]))
         modified[i] = err(fmod(pts))
         face_min[i] = float(np.min(fmod(face_pts)))
     return ApproximationStudy(levels, np.array(eps_seq), np.array(delta_seq),
-                              raw, modified, face_min, norm)
+                              raw, modified, face_min)
 
 
-def sample_members(layer: BoundaryLayer, count: int, box_hi: float = 4.0,
-                   seed: int = 0, max_draws: int = 5_000_000) -> np.ndarray:
+def sample_members(layer: BoundaryLayer, count: int, seed: int = 0,
+                   max_draws: int = 5_000_000) -> np.ndarray:
     """Uniform members of the layer, by rejection from a box.
 
-    For unbounded layers the proposals come from [0, box_hi]^dim. Raises
+    For unbounded layers the proposals come from [0, 4]^dim. Raises
     RuntimeError when fewer than `count` members turn up within max_draws
     proposals (the layer is too thin for this box).
     """
@@ -321,7 +306,7 @@ def sample_members(layer: BoundaryLayer, count: int, box_hi: float = 4.0,
         raise ValueError(f"count must be >= 1, got {count}")
     dim = layer.dim
     hi = (np.asarray(layer.hi) if layer.hi is not None
-          else np.full(dim, float(box_hi)))
+          else np.full(dim, 4.0))
     rng = np.random.default_rng(seed)
     chunks = []
     found = 0
@@ -364,11 +349,10 @@ class VolumeReport:
                    float(self.halfwidths[i]))
 
 
-def nonlinear_volume_report(dim: int, eps: float = 1.0,
-                            box_sizes=(2.0, 4.0, 8.0, 16.0),
+def nonlinear_volume_report(dim: int, box_sizes=(2.0, 4.0, 8.0, 16.0),
                             samples: int = 200_000,
                             seed: int = 0) -> VolumeReport:
-    """Sampled volume of the nonlinear layer on a growing family of boxes.
+    """Sampled volume of the level-1 nonlinear layer on a growing family of boxes.
 
     The sections of the product profile have finite volume even though
     they are unbounded, so the estimates flatten once the box captures the
@@ -378,7 +362,7 @@ def nonlinear_volume_report(dim: int, eps: float = 1.0,
     box_sizes = [float(b) for b in box_sizes]
     if any(b2 <= b1 for b1, b2 in zip(box_sizes, box_sizes[1:])):
         raise ValueError("box sizes must increase strictly")
-    layer = BoundaryLayer(eps=eps, mode="nonlinear", dim=int(dim))
+    layer = BoundaryLayer(eps=1.0, mode="nonlinear", dim=int(dim))
     found = np.array([_sampled_volume(dataclasses.replace(layer, hi=(size,) * layer.dim),
                                       samples, seed)
                       for size in box_sizes]).reshape(-1, 2)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from rdlearn._sampling import as_weights, trapezoid_weights
+from rdlearn._sampling import as_tuple, as_weights, trapezoid_weights
 
 D_MIN = 1e-6  # the positive floor of every diffusion coefficient
 
@@ -46,11 +46,6 @@ class BlowUpError(ArithmeticError):
         self.step = step
 
 
-def _as_tuple(value, kind):
-    arr = np.atleast_1d(np.asarray(value))
-    return tuple(kind(v) for v in arr)
-
-
 @dataclass(frozen=True)
 class SpaceTimeGrid:
     """Uniform tensor grid on [0, extent] x ... with a uniform time step.
@@ -66,18 +61,18 @@ class SpaceTimeGrid:
     steps: int
 
     def __post_init__(self):
-        object.__setattr__(self, "extents", _as_tuple(self.extents, float))
-        object.__setattr__(self, "nodes", _as_tuple(self.nodes, int))
+        object.__setattr__(self, "extents", as_tuple(self.extents, float))
+        object.__setattr__(self, "nodes", as_tuple(self.nodes, int))
         if len(self.extents) != len(self.nodes):
             raise ValueError("extents and nodes must agree per axis")
         if not 1 <= len(self.nodes) <= 2:
             raise ValueError(f"only 1D and 2D grids are supported, got {len(self.nodes)} axes")
-        if any(e <= 0 for e in self.extents):
-            raise ValueError(f"extents must be positive, got {self.extents}")
+        if not all(0 < e < np.inf for e in self.extents):  # NaN fails too
+            raise ValueError(f"extents must be positive and finite, got {self.extents}")
         if any(m < 3 for m in self.nodes):
             raise ValueError(f"need at least 3 nodes per axis, got {self.nodes}")
-        if not self.horizon > 0:
-            raise ValueError(f"time horizon must be positive, got {self.horizon}")
+        if not 0 < self.horizon < np.inf:
+            raise ValueError(f"time horizon must be positive and finite, got {self.horizon}")
         if int(self.steps) < 1:
             raise ValueError(f"need at least one time step, got {self.steps}")
         object.__setattr__(self, "steps", int(self.steps))
@@ -129,10 +124,10 @@ class DiffusionSpec:
     d: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "d", _as_tuple(self.d, float))
-        if any(v < D_MIN for v in self.d):
+        object.__setattr__(self, "d", as_tuple(self.d, float))
+        if not all(D_MIN <= v < np.inf for v in self.d):  # NaN fails too
             raise ValueError(
-                f"diffusion coefficients {self.d} must lie above the floor {D_MIN}"
+                f"diffusion coefficients {self.d} must lie above the floor {D_MIN} and be finite"
             )
 
     @classmethod
@@ -171,12 +166,6 @@ class StateField:
     @property
     def masses(self) -> np.ndarray:
         return self.weights @ self.species_mass
-
-    def initial(self) -> np.ndarray:
-        return self.values[:, 0]
-
-    def final(self) -> np.ndarray:
-        return self.values[:, -1]
 
 
 def mirror_bands(m: int) -> np.ndarray:
@@ -375,8 +364,8 @@ def mass_audit(traj: StateField, c=None, K0: float = 0.0, K1: float = 0.0,
 
 
 def estimate_mass_tolerance(f, D: DiffusionSpec, u0_builder, grid: SpaceTimeGrid,
-                            c=None, K0: float = 0.0, K1: float = 0.0) -> float:
-    """Discretization slack C * (h^2 + dt) for mass audits, from refinement.
+                            K0: float = 0.0, K1: float = 0.0) -> float:
+    """Discretization slack C * (h^2 + dt) for unit-weight mass audits.
 
     Solves the same problem on `grid` and on a space-and-time-refined
     copy, attributes the change in worst margin to the leading error model
@@ -387,8 +376,8 @@ def estimate_mass_tolerance(f, D: DiffusionSpec, u0_builder, grid: SpaceTimeGrid
     worst = []
     scales = []
     for g in (grid, fine):
-        t = solve(f, D, u0_builder(g), g, c=c)
-        worst.append(mass_audit(t, c=c, K0=K0, K1=K1).worst)
+        t = solve(f, D, u0_builder(g), g)
+        worst.append(mass_audit(t, K0=K0, K1=K1).worst)
         scales.append(max(g.h) ** 2 + g.dt)
     C = abs(worst[0] - worst[1]) / (scales[0] - scales[1])
     return max(4.0 * C * scales[0], 1e-10)
@@ -441,7 +430,7 @@ def manufactured_convergence(diffusion: float = 0.7, extent: float = 1.0,
             return (np.exp(-t) * (-1.0 - cos + diffusion * factor ** 2 * cos))[None]
 
         traj = solve(None, D, exact(0.0, x)[None], grid, source=source)
-        return np.max(np.abs(traj.final()[0] - exact(horizon, x)))
+        return np.max(np.abs(traj.values[0, -1] - exact(horizon, x)))
 
     def study(grids, spacings):
         """(spacings, final errors, log-log order) over the grids, solved in order."""

@@ -27,22 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rdlearn._sampling import as_box, as_weights, halton_box
-
-
-def _atleast_batch(u, n_species):
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 1:
-        if u.shape[0] != n_species:
-            raise ValueError(f"expected point in R^{n_species}, got shape {u.shape}")
-        return u[None, :], True
-    if u.ndim == 2:
-        if u.shape[1] != n_species:
-            raise ValueError(
-                f"expected batch of points in R^{n_species}, got shape {u.shape}"
-            )
-        return u, False
-    raise ValueError(f"expected 1D point or 2D batch, got shape {u.shape}")
+from rdlearn._sampling import as_batch, as_box, as_weights, halton_box
 
 
 def _product(W, a):
@@ -71,7 +56,7 @@ def _times_product(out, W, a):
 class ReactionTerm:
     """Base type: species count, evaluation rule, optional Jacobian rule.
 
-    `eval` and `jacobian` accept a single point (N,) or a batch (S, N)
+    `eval` and `jacobian` accept a point (N,) or a batch (S, N) (`as_batch`)
     and return matching shapes ((N,)/(S, N) and (N, N)/(S, N, N)).
     """
 
@@ -82,7 +67,7 @@ class ReactionTerm:
 
     def jacobian(self, u):
         """Central-difference fallback, step 1e-5 * (1 + |u_j|) per column."""
-        ub, single = _atleast_batch(u, self.n_species)
+        ub, single = as_batch(u, self.n_species)
         steps = 1e-5 * (1.0 + np.abs(ub))
         cols = []
         for j in range(self.n_species):
@@ -121,14 +106,14 @@ class AnalyticReaction(ReactionTerm):
         self._jac = jac
 
     def eval(self, u):
-        ub, single = _atleast_batch(u, self.n_species)
+        ub, single = as_batch(u, self.n_species)
         out = self._fn(ub)
         return out[0] if single else out
 
     def jacobian(self, u):
         if self._jac is None:
             return super().jacobian(u)
-        ub, single = _atleast_batch(u, self.n_species)
+        ub, single = as_batch(u, self.n_species)
         out = self._jac(ub)
         return out[0] if single else out
 
@@ -286,7 +271,7 @@ class MLPReaction(ReactionTerm):
         return z.T, acts
 
     def eval(self, u):
-        ub, single = _atleast_batch(u, self.n_species)
+        ub, single = as_batch(u, self.n_species)
         out, _ = self.forward(ub)
         return out[0] if single else out
 
@@ -294,7 +279,7 @@ class MLPReaction(ReactionTerm):
         return self.value_and_jacobian(u)[1]
 
     def value_and_jacobian(self, u):
-        ub, single = _atleast_batch(u, self.n_species)
+        ub, single = as_batch(u, self.n_species)
         f, _, J = self._value_jac_state(ub)[:3]
         if single:
             return f[0], J[0]

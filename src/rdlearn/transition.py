@@ -193,16 +193,13 @@ def build_mollified_heaviside(eps: float, kernel: MollifierKernel | None = None)
     return TransitionFunction(eps=float(eps), delta=float(eps) / 2.0, kernel=kernel)
 
 
-def derivative_bound(chi: TransitionFunction, samples: int = 20_001) -> float:
-    """Measured sup |chi'| over a dense ramp grid including the midpoint.
+def derivative_bound(chi: TransitionFunction) -> float:
+    """Measured sup |chi'| over 20001 evenly spaced points across the ramp.
 
     For the mollified heaviside (delta = eps/2) the result lies between
-    1/eps and 4 * sup|eta'| / eps; the grid contains the exact maximizer
-    x = eps, so the measurement is tight to rounding.
+    1/eps and 4 * sup|eta'| / eps; the point count is odd, so the grid
+    contains the exact maximizer x = eps (the ramp midpoint) and the
+    measurement is tight to rounding.
     """
-    if samples < 3:
-        raise ValueError("need at least 3 samples across the ramp")
-    if samples % 2 == 0:
-        samples += 1  # keep the ramp midpoint on the grid
-    grid = np.linspace(chi.eps - chi.delta, chi.eps + chi.delta, samples)
+    grid = np.linspace(chi.eps - chi.delta, chi.eps + chi.delta, 20_001)
     return float(np.max(np.abs(chi.derivative(grid))))

@@ -236,11 +236,15 @@ BAD_WEIGHTS_CFG = SIM_CFG.replace("diffusion = 0.05", "diffusion = 0.05\nweights
      "config error: domain.initials: initial profile arguments must be numbers: 'constant:x'"),
     ("simulate", SIM_CFG.replace("fisher-kpp", "none"),
      "config error: wrapper.eps given but reaction.name is 'none'"),
+    ("simulate", SIM_CFG.replace("steps = 60", "steps = inf"),
+     "config error: grid.steps must be finite, got 'inf'"),
+    ("simulate", SIM_CFG.replace("diffusion = 0.05", "diffusion = nan"),
+     "config error: reaction.diffusion must be finite, got 'nan'"),
 ], ids=["diffusion", "weights-simulate", "weights-check", "delta", "diffusion-learn", "kind",
         "levels-order-option", "levels-start-option", "levels-order-config",
         "levels-start-config", "lam0", "q", "noise", "diffusion-floor", "widths-positive",
         "gamma-beta", "initials", "levels-wrap-rates", "profile-simulate", "profile-learn",
-        "wrapper-without-reaction"])
+        "wrapper-without-reaction", "steps-inf", "diffusion-nan"])
 def test_inconsistent_values_exit_2_and_name_the_key(command, text, named, tmp_path, capsys):
     cfg = write(tmp_path, text)
     code = main(command.split() + ["--config", cfg, "--out", str(tmp_path / "o")])

@@ -297,7 +297,7 @@ def test_truth_insertion_zeroes_the_data_terms():
     op = MeasurementOperator("full")
     prob = small_problem(op, data=op.apply(truth.values, GRID))
     x = prob.pack(np.full((1, 1), 0.05), truth.values[None],
-                  truth.initial()[None], np.zeros(MLPReaction.parameter_count(prob.widths)))
+                  truth.values[:, 0][None], np.zeros(MLPReaction.parameter_count(prob.widths)))
     terms = prob.objective_terms(x)
     assert terms["data_misfit"] == 0.0
     assert terms["init_misfit"] == 0.0
@@ -578,7 +578,7 @@ def test_optimizer_never_lifts_misfit_off_its_floor(monkeypatch):
                           delta=0.0625, psi=50.0)
     prob = small_problem(op, data=data, sched=sched)
     x0 = prob.pack(np.full((1, 1), 0.05), truth.values[None],
-                   truth.initial()[None], np.zeros(MLPReaction.parameter_count(prob.widths)))
+                   truth.values[:, 0][None], np.zeros(MLPReaction.parameter_count(prob.widths)))
     seen = []
     gradient = prob.gradient
 
@@ -608,7 +608,7 @@ def test_learned_reaction_is_exactly_quasipositive_on_the_face():
 def test_identification_sweep_runs_the_level_loop():
     fisher = make_reaction("fisher-kpp")
     grid = SpaceTimeGrid(1.0, 9, 0.2, 8)
-    u0 = (0.2 + 0.6 * grid.axis(0))[None]
+    u0 = (0.2 + 0.6 * grid.axis(0))[None, None]
     scheds = make_schedule(2.0, 1.0, 0.5, lam0=10.0)
     ops = [MeasurementOperator("full") for _ in scheds]
     rows, results = identification_sweep(
@@ -641,6 +641,18 @@ def test_identification_sweep_runs_two_species():
                             row.sup_error, row.d_error]).all()
         assert res.theta.shape == (22,)
         assert res.D.shape == (2, 2)
+
+
+def test_identification_sweep_takes_one_layout_of_initial_states():
+    """Two one-species profiles given as (2, M) lack the species axis of
+    the (L, n, M) layout; the error names u0_profiles and that layout."""
+    fisher = make_reaction("fisher-kpp")
+    grid = SpaceTimeGrid(1.0, 9, 0.2, 8)
+    u0 = np.stack([0.2 + 0.6 * grid.axis(0), np.full(9, 0.4)])
+    scheds = make_schedule(2.0, 1.0, 0.5)
+    ops = [MeasurementOperator("full") for _ in scheds]
+    with pytest.raises(ValueError, match=r"u0_profiles has shape \(2, 9\), expected \(L, n"):
+        identification_sweep(fisher, 0.05, u0, grid, scheds, ops, (1, 4, 1))
 
 
 def test_identification_sweep_rejects_mismatched_operator_count():

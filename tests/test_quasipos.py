@@ -5,6 +5,8 @@ this file (box volume minus the offset-box volume; 5/3 for the level-1
 nonlinear section of the plane, from integrating the x^{-4} tail).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,27 +20,28 @@ from rdlearn.quasipos import (
     sample_members,
     section_profile,
 )
+from rdlearn.reaction import make_reaction
 
 
 def test_metric_membership_is_distance_to_faces():
     layer = BoundaryLayer(eps=0.1, mode="metric", hi=(1.0, 1.0))
-    assert layer.member((0.05, 0.7))  # distance 0.05 to the face x1 = 0
-    assert not layer.member((0.15, 0.7))
-    assert not layer.member((0.1, 0.7))  # strict inequality at the shell
+    assert layer.members((0.05, 0.7))  # distance 0.05 to the face x1 = 0
+    assert not layer.members((0.15, 0.7))
+    assert not layer.members((0.1, 0.7))  # strict inequality at the shell
 
 
 def test_nonlinear_membership_via_profile_product():
     layer = BoundaryLayer(eps=8.0, mode="nonlinear", dim=2)
     assert layer.level_value((0.25, 4.0)) == 8.0  # sqrt(0.25) * 4^2
-    assert layer.member((0.25, 4.0))
-    assert not layer.with_eps(7.9).member((0.25, 4.0))
+    assert layer.members((0.25, 4.0))
+    assert not dataclasses.replace(layer, eps=7.9).members((0.25, 4.0))
 
 
 def test_componentwise_membership():
     layer = BoundaryLayer(eps=0.05, mode="componentwise", hi=(1.0, 1.0), component=1)
-    assert layer.member((0.3, 0.05))  # closed inequality
+    assert layer.members((0.3, 0.05))  # closed inequality
     assert not BoundaryLayer(eps=0.05, mode="componentwise", hi=(1.0, 1.0),
-                             component=0).member((0.3, 0.05))
+                             component=0).members((0.3, 0.05))
 
 
 def test_face_points_are_members_at_every_width():
@@ -59,7 +62,7 @@ def test_membership_monotone_in_eps(e1, scale, mode):
     hi = None if mode == "nonlinear" else (1.0, 1.0)
     dim = 2 if mode == "nonlinear" else None
     narrow = BoundaryLayer(eps=e1, mode=mode, hi=hi, dim=dim)
-    wide = narrow.with_eps(e1 * scale)
+    wide = dataclasses.replace(narrow, eps=e1 * scale)
     rng = np.random.default_rng(7)
     pts = rng.uniform(0.0, 1.0, size=(500, 2))
     inner, outer = narrow.members(pts), wide.members(pts)
@@ -84,11 +87,27 @@ def test_membership_monotone_dense():
 def test_domain_validation():
     layer = BoundaryLayer(eps=0.1, mode="metric", hi=(1.0, 1.0))
     with pytest.raises(ValueError, match="negative"):
-        layer.member((-0.1, 0.5))
+        layer.members((-0.1, 0.5))
     with pytest.raises(ValueError, match="box"):
-        layer.member((0.5, 1.5))
+        layer.members((0.5, 1.5))
     with pytest.raises(ValueError, match="expected points"):
-        layer.member((0.5, 0.5, 0.5))
+        layer.members((0.5, 0.5, 0.5))
+
+
+def test_layers_read_points_by_the_rule_of_reaction_terms():
+    """A 1-D array is one point for a one-dimensional layer too, as it is
+    for a one-species reaction term: three numbers are not three points."""
+    layer = BoundaryLayer(eps=0.2, mode="metric", hi=(1.0,))
+    three = np.array([0.05, 0.5, 0.9])
+    with pytest.raises(ValueError, match=r"expected points in R\^1"):
+        layer.members(three)
+    with pytest.raises(ValueError, match=r"expected points in R\^1"):
+        make_reaction("fisher-kpp").eval(three)
+    one = layer.members(np.array([0.05]))
+    assert np.ndim(one) == 0 and one
+    assert layer.members(three[:, None]).tolist() == [True, False, False]
+    lifted = modify(lambda p: p[:, 0] - 0.1, layer, 0.1)(np.array([0.0]))
+    assert np.ndim(lifted) == 0 and lifted == 0.0
 
 
 def test_layer_validation():
@@ -102,6 +121,14 @@ def test_layer_validation():
         BoundaryLayer(eps=0.1, mode="componentwise", hi=(1.0, 1.0), component=2)
     with pytest.raises(ValueError, match="disagrees"):
         BoundaryLayer(eps=0.1, mode="metric", hi=(1.0, 1.0), dim=3)
+
+
+@pytest.mark.parametrize("corner", [(np.nan, 1.0), (np.inf, 1.0), (0.0, 1.0)])
+def test_box_corners_must_be_positive_and_finite(corner):
+    with pytest.raises(ValueError, match="upper corner"):
+        BoundaryMeasure(corner)
+    with pytest.raises(ValueError, match="upper corner"):
+        BoundaryLayer(eps=0.1, hi=corner)
 
 
 def test_unit_cube_measure_closed_form():

@@ -130,8 +130,8 @@ def test_source_hook_reduces_to_scalar_recursion():
     v = c0
     for t in g.times()[:-1]:
         v = v + g.dt * (-np.exp(-t) * c0)
-    assert np.max(np.abs(traj.final()[0] - v)) < 1e-12
-    assert traj.final()[0].max() - traj.final()[0].min() < 1e-13
+    assert np.max(np.abs(traj.values[0, -1] - v)) < 1e-12
+    assert traj.values[0, -1].max() - traj.values[0, -1].min() < 1e-13
 
 
 @settings(max_examples=25, deadline=None)
@@ -156,7 +156,7 @@ def test_heat_decay_matches_closed_form_1d():
     d = 0.5
     traj = solve(None, DiffusionSpec.uniform(d, 1), (1.0 + np.cos(np.pi * x / 2.0))[None], g)
     exact = 1.0 + np.exp(-d * (np.pi / 2.0) ** 2 * 0.25) * np.cos(np.pi * x / 2.0)
-    assert np.max(np.abs(traj.final()[0] - exact)) < 2e-4
+    assert np.max(np.abs(traj.values[0, -1] - exact)) < 2e-4
 
 
 def test_heat_decay_matches_closed_form_2d():
@@ -166,7 +166,7 @@ def test_heat_decay_matches_closed_form_2d():
     u0 = (1.0 + np.cos(np.pi * X) * np.cos(np.pi * Y))[None]
     traj = solve(None, DiffusionSpec.uniform(d, 1), u0, g)
     exact = 1.0 + np.exp(-d * 2 * np.pi**2 * 0.2) * np.cos(np.pi * X) * np.cos(np.pi * Y)
-    assert np.max(np.abs(traj.final()[0] - exact)) < 2e-3
+    assert np.max(np.abs(traj.values[0, -1] - exact)) < 2e-3
 
 
 # -------------------------------------------------------------- orders
@@ -196,7 +196,7 @@ def test_richardson_self_convergence_of_wrapped_fisher():
     finals = []
     for s in (1, 2, 4):
         g = base.refined(s, s * s) if s > 1 else base
-        finals.append(solve(wrapped, D, cosine_profile(g), g).final()[0][::s])
+        finals.append(solve(wrapped, D, cosine_profile(g), g).values[0, -1][::s])
     order = np.log2(
         np.max(np.abs(finals[0] - finals[1])) / np.max(np.abs(finals[1] - finals[2]))
     )
@@ -218,9 +218,9 @@ def test_wrapped_fisher_close_to_refined_reference():
     wrapped = wrap(make_reaction("fisher-kpp"), build_mollified_heaviside(0.2), lipschitz=3.0)
     D = DiffusionSpec.uniform(0.05, 1)
     g = SpaceTimeGrid(2.0, 61, 1.0, 240)
-    coarse = solve(wrapped, D, cosine_profile(g), g).final()[0]
+    coarse = solve(wrapped, D, cosine_profile(g), g).values[0, -1]
     fine_grid = g.refined(4, 4)
-    fine = solve(wrapped, D, cosine_profile(fine_grid), fine_grid).final()[0][::4]
+    fine = solve(wrapped, D, cosine_profile(fine_grid), fine_grid).values[0, -1][::4]
     rel = np.max(np.abs(coarse - fine)) / np.max(np.abs(fine))
     assert rel <= 0.01
     assert rel < 5e-4  # observed 2.7e-4; flag regressions well before the contract
@@ -313,6 +313,16 @@ def test_non_finite_state_in_a_certified_box_is_a_blow_up():
         solve(f, DiffusionSpec.uniform(0.01, 1), cosine_profile(g), g,
               source=lambda t: np.nan if t >= 0.5 else 0.0)
     assert info.value.step == 21
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_grid_and_diffusion_are_rejected(bad):
+    with pytest.raises(ValueError, match="extents"):
+        SpaceTimeGrid(bad, 5, 1.0, 4)
+    with pytest.raises(ValueError, match="horizon"):
+        SpaceTimeGrid(1.0, 5, bad, 4)
+    with pytest.raises(ValueError, match="diffusion coefficients"):
+        DiffusionSpec((0.5, bad))
 
 
 def test_solver_input_validation():
@@ -410,7 +420,7 @@ def test_state_field_round_trip():
     u0 = cosine_profile(g, base=1.0, amp=0.5)
     traj = solve(None, DiffusionSpec.uniform(0.2, 1), u0, g)
     assert traj.values.shape == (1, 21, 11)
-    assert np.array_equal(traj.initial(), u0)
+    assert np.array_equal(traj.values[:, 0], u0)
     assert traj.n_species == 1
     assert traj.masses.shape == (21,)
     assert traj.min_value <= traj.values.max()
