@@ -27,9 +27,19 @@ def as_box(lo, hi, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def as_tuple(value, kind) -> tuple:
-    """A scalar or a sequence as a tuple of `kind` values, one per entry."""
-    return tuple(kind(v) for v in np.atleast_1d(np.asarray(value)))
+def as_tuple(value, kind, name: str) -> tuple:
+    """The field `name`, a scalar or a sequence, as a tuple of `kind` values,
+    one per entry. For int, an entry that int() would change (2.5, inf,
+    NaN) raises a ValueError that names the field."""
+    entries = np.atleast_1d(np.asarray(value, dtype=float))
+    if kind is int and not np.all(np.isfinite(entries) & (entries == np.trunc(entries))):
+        raise ValueError(f"{name} must be integers, got {value!r}")
+    return tuple(kind(v) for v in entries)
+
+
+def ball_radius(lo, hi) -> float:
+    """Radius of the origin ball holding [lo, hi]: the norm of its farthest corner."""
+    return float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
 
 
 def as_batch(u, n: int) -> tuple[np.ndarray, bool]:

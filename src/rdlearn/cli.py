@@ -19,7 +19,6 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager, suppress
-from dataclasses import astuple
 from importlib import resources
 
 import numpy as np
@@ -267,6 +266,8 @@ def _profile_values(text: str, grid: SpaceTimeGrid) -> np.ndarray:
             vals = [float(a) for a in args.split(",")]
         except ValueError:
             raise ValueError(f"initial profile arguments must be numbers: {text!r}") from None
+        if not np.isfinite(vals).all():
+            raise ValueError(f"initial profile arguments must be finite: {text!r}")
     axes = [grid.axis(k) / grid.extents[k] for k in range(grid.ndim)]
     if name == "constant":
         if len(vals) != 1:
@@ -442,7 +443,7 @@ def _cmd_wrap_rates(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namesp
                   study.rows())
     out.finish()
     print(f"fitted slope {study.fitted_slope:.4f} "
-          f"(preserved rate {study.preserved_rate:.4f})")
+          f"(preserved rate {sched.preserved_rate:.4f})")
     return 0
 
 
@@ -523,7 +524,7 @@ def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) 
             )
         ops = [MeasurementOperator("subsample", stride=s) for s in strides]
     elif kind == "full":
-        ops = [MeasurementOperator("full") for _ in levels]
+        ops = [MeasurementOperator() for _ in levels]
     elif kind == "fourier":
         modes = cfg.getints("measurement", "modes")
         if len(modes) != len(levels):
@@ -542,7 +543,8 @@ def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) 
     out.write_csv(
         "results.csv",
         ["m", "objective", "residual_term", "misfit_term", "sup_error_f", "D_error"],
-        map(astuple, rows),
+        ((row.m, res.objective, res.terms["residual"], res.terms["data_misfit"],
+          row.sup_error, row.d_error) for row, res in zip(rows, results)),
     )
     for sched, res in zip(scheds, results):
         with out.file(f"params_m{sched.m}.txt") as tmp:
@@ -551,7 +553,7 @@ def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) 
     out.finish()
     for sched, row, res in zip(scheds, rows, results):
         print(f"level {row.m}: sup error {row.sup_error:.4f}, "
-              f"objective {row.objective:.4f}, "
+              f"objective {res.objective:.4f}, "
               f"state containment {res.state_containment:.3f}, "
               f"{res.stop_reason} after {res.iterations} iterations")
         chi = build_mollified_heaviside(sched.eps)

@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from rdlearn._sampling import as_batch, as_box, as_weights, sup_sample
+from rdlearn._sampling import as_batch, as_box, as_weights, ball_radius, sup_sample
 from rdlearn.reaction import ConsistencyConstants, MLPReaction, ReactionTerm, mass_growth_constants
 from rdlearn.transition import TransitionFunction, build_mollified_heaviside
 
@@ -228,9 +228,7 @@ class ConsistentReaction(ReactionTerm):
         """Local certified bound on a box (via the ball containing it)."""
         if lo is None or hi is None or self._lip[0] is None:
             return None
-        lo, hi = as_box(lo, hi, self.n_species)
-        M = float(max(np.linalg.norm(lo), np.linalg.norm(hi)))
-        return self.local_lipschitz(M)
+        return self.local_lipschitz(ball_radius(*as_box(lo, hi, self.n_species)))
 
     def __repr__(self):
         return f"ConsistentReaction(base={self.base!r}, chi={self.chi!r})"
@@ -295,14 +293,14 @@ class WrapperSchedule:
 
 @dataclass
 class RateStudy:
-    """Per-level sup errors of raw and wrapped approximants."""
+    """Per-level sup errors of raw and wrapped approximants; the rate they
+    should keep is the schedule's `preserved_rate`."""
 
     levels: np.ndarray
     eps: np.ndarray
     sup_raw: np.ndarray
     sup_wrapped: np.ndarray
     fitted_slope: float
-    preserved_rate: float
 
     def rows(self):
         for i in range(self.levels.size):
@@ -350,8 +348,7 @@ def rate_preservation_study(f_target: ReactionTerm, approx_family,
     slope = _fitted_rate(levels, wrapped)
     if slope is None:
         raise ValueError("wrapped sup errors below floor at all levels; nothing to fit")
-    return RateStudy(np.array(levels), eps, raw, wrapped, slope,
-                     sched.preserved_rate)
+    return RateStudy(np.array(levels), eps, raw, wrapped, slope)
 
 
 def strict_rate_estimate(f: ReactionTerm, lo, hi, component: int,

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from rdlearn._sampling import as_box, box_quadrature, halton_box, trapezoid_weights
+from rdlearn._sampling import as_box, as_tuple, box_quadrature, halton_box, trapezoid_weights
 from rdlearn.consistency import ConsistentReaction, Cutoffs, WrapperSchedule, wrap
 from rdlearn.rdsolve import (D_MIN, DiffusionSpec, SpaceTimeGrid, StateField, mirror_laplacian,
                               mirror_laplacian_transpose, solve)
@@ -62,32 +62,30 @@ def _cosine_basis(grid: SpaceTimeGrid, modes: int) -> np.ndarray:
 class MeasurementOperator:
     """Linear observation map on trajectories.
 
-    kind "subsample" keeps every stride-th node and time step, and "full"
-    is the stride-1 subsample, which returns the grid state unchanged;
-    "fourier" projects each time sample onto the first `modes` cosine
-    modes (weighted inner products, so the map stays linear and its
-    adjoint is explicit). Every method acts on the last two axes (time,
+    kind "subsample" keeps every stride-th node and time step; at the
+    default stride 1 it returns the grid state unchanged. "fourier"
+    projects each time sample onto the first `modes` cosine modes
+    (weighted inner products, so the map stays linear and its adjoint is
+    explicit). Every method acts on the last two axes (time,
     nodes) and maps any leading axes through, so one call measures a
     whole (trajectories, species, ...) block.
     """
 
-    kind: str = "full"
+    kind: str = "subsample"
     stride: int = 1
     modes: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("full", "subsample", "fourier"):
-            raise ValueError(
-                f"kind must be 'full', 'subsample' or 'fourier', got {self.kind!r}"
-            )
+        if self.kind not in ("subsample", "fourier"):
+            raise ValueError(f"kind must be 'subsample' or 'fourier', got {self.kind!r}")
         if self.kind == "subsample":
-            if int(self.stride) < 1:
+            if as_tuple(self.stride, int, "stride")[0] < 1:
                 raise ValueError(f"stride must be a positive integer, got {self.stride}")
             object.__setattr__(self, "stride", int(self.stride))
         elif self.stride != 1:
             raise ValueError(f"stride applies to subsample operators only")
         if self.kind == "fourier":
-            if self.modes is None or int(self.modes) < 1:
+            if self.modes is None or as_tuple(self.modes, int, "modes")[0] < 1:
                 raise ValueError("fourier operators need modes >= 1")
             object.__setattr__(self, "modes", int(self.modes))
         elif self.modes is not None:
@@ -557,12 +555,9 @@ def solve_level(prob: AllAtOnceProblem, x0=None, *, step: float = STEP,
 
 @dataclass
 class SweepRow:
-    """Per-level summary of an identification sweep."""
+    """What a sweep computes at one level beyond its `LevelResult`: sup and D errors."""
 
     m: int
-    objective: float
-    residual_term: float
-    misfit_term: float
     sup_error: float
     d_error: float
 
@@ -612,7 +607,6 @@ def identification_sweep(f_true, d_true: float, u0_profiles, grid: SpaceTimeGrid
         learned = prob.reaction(res.theta)
         sup_err = float(np.max(np.abs(learned.eval(probe) - true_vals)))
         d_err = float(np.max(np.abs(res.D - d_true)))
-        rows.append(SweepRow(sched.m, res.objective, res.terms["residual"],
-                             res.terms["data_misfit"], sup_err, d_err))
+        rows.append(SweepRow(sched.m, sup_err, d_err))
         results.append(res)
     return rows, results

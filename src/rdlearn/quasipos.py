@@ -36,7 +36,7 @@ _MODES = ("metric", "componentwise", "nonlinear")
 
 def _upper_corner(hi) -> tuple:
     """The upper corner of a box [0, hi] as floats, each positive and finite."""
-    hi = as_tuple(hi, float)
+    hi = as_tuple(hi, float, "hi")
     if not all(0.0 < h < np.inf for h in hi):  # NaN fails too
         raise ValueError(f"box upper corner must be positive and finite, got {hi}")
     return hi

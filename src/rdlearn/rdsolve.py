@@ -61,8 +61,8 @@ class SpaceTimeGrid:
     steps: int
 
     def __post_init__(self):
-        object.__setattr__(self, "extents", as_tuple(self.extents, float))
-        object.__setattr__(self, "nodes", as_tuple(self.nodes, int))
+        object.__setattr__(self, "extents", as_tuple(self.extents, float, "extents"))
+        object.__setattr__(self, "nodes", as_tuple(self.nodes, int, "nodes"))
         if len(self.extents) != len(self.nodes):
             raise ValueError("extents and nodes must agree per axis")
         if not 1 <= len(self.nodes) <= 2:
@@ -73,7 +73,7 @@ class SpaceTimeGrid:
             raise ValueError(f"need at least 3 nodes per axis, got {self.nodes}")
         if not 0 < self.horizon < np.inf:
             raise ValueError(f"time horizon must be positive and finite, got {self.horizon}")
-        if int(self.steps) < 1:
+        if as_tuple(self.steps, int, "steps")[0] < 1:
             raise ValueError(f"need at least one time step, got {self.steps}")
         object.__setattr__(self, "steps", int(self.steps))
 
@@ -124,7 +124,7 @@ class DiffusionSpec:
     d: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "d", as_tuple(self.d, float))
+        object.__setattr__(self, "d", as_tuple(self.d, float, "d"))
         if not all(D_MIN <= v < np.inf for v in self.d):  # NaN fails too
             raise ValueError(
                 f"diffusion coefficients {self.d} must lie above the floor {D_MIN} and be finite"
@@ -137,9 +137,6 @@ class DiffusionSpec:
     @property
     def n_species(self) -> int:
         return len(self.d)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.d, dtype=float)
 
 
 @dataclass
@@ -154,10 +151,6 @@ class StateField:
     grid: SpaceTimeGrid
     weights: np.ndarray
     species_mass: np.ndarray = field(repr=False)
-
-    @property
-    def n_species(self) -> int:
-        return self.values.shape[0]
 
     @property
     def min_value(self) -> float:
@@ -280,7 +273,7 @@ def solve(f, D: DiffusionSpec, u0, grid: SpaceTimeGrid, c=None,
     factors = [
         [_factor_heat_matrix(grid.nodes[ax], dt * dn / h[ax] ** 2)
          for ax in range(grid.ndim)]
-        for dn in D.as_array()
+        for dn in D.d
     ]
 
     w = grid.quadrature_weights().ravel()
@@ -351,14 +344,13 @@ class MassAudit:
         return self.worst <= self.tol
 
 
-def mass_audit(traj: StateField, c=None, K0: float = 0.0, K1: float = 0.0,
+def mass_audit(traj: StateField, K0: float = 0.0, K1: float = 0.0,
                tol: float | None = None) -> MassAudit:
-    """Check d/dt sum_n c_n int u_n <= K0 |Omega| + K1 sum_n int u_n per step."""
-    c = as_weights(traj.weights if c is None else c, traj.n_species)
+    """Check d/dt sum_n c_n int u_n <= K0 |Omega| + K1 sum_n int u_n per step,
+    with the weights c the trajectory was solved with."""
     volume = float(np.prod(traj.grid.extents))
-    weighted = c @ traj.species_mass
     total = traj.species_mass.sum(axis=0)
-    rate = np.diff(weighted) / traj.grid.dt
+    rate = np.diff(traj.masses) / traj.grid.dt
     margins = rate - (K0 * volume + K1 * total[:-1])
     return MassAudit(margins, tol)
 

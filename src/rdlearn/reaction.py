@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rdlearn._sampling import as_batch, as_box, as_weights, halton_box
+from rdlearn._sampling import as_batch, as_box, as_weights, ball_radius, halton_box
 
 
 def _product(W, a):
@@ -460,13 +460,13 @@ class ConditionReport:
 
     A check the box gives no points to is skipped, and its verdict is None:
     (Q) when the box reaches no face {u >= 0, u_n = 0}, (M) when it misses
-    the nonnegative orthant.
+    the nonnegative orthant. The certified Lipschitz bound, when there is
+    one, is `constants.lipschitz` under the label "certified".
     """
 
     samples: int
     ball_radius: float
     lipschitz_estimate: float
-    lipschitz_certified: float | None
     quasipos_violations: list | None  # None when the box reaches no face
     mass_margin: float | None  # None when the box misses the nonnegative orthant
     growth_worst_ratio: float
@@ -502,8 +502,7 @@ class ConditionReport:
             f"samples per check: {self.samples}",
             f"(L) Lipschitz estimate on ball radius {self.ball_radius:.6g}: "
             f"{self.lipschitz_estimate:.6g}"
-            + (f" (certified bound {self.lipschitz_certified:.6g})"
-               if self.lipschitz_certified is not None else ""),
+            + (f" (certified bound {k.lipschitz:.6g})" if k.label == "certified" else ""),
             f"(Q) quasipositivity: {quasipos}",
         ]
         if self.mass_margin is None:
@@ -539,7 +538,6 @@ def check_conditions(f: ReactionTerm, lo, hi, samples: int = 10_000,
     lo, hi = as_box(lo, hi, N)
     c = as_weights(c, N)
 
-    corners_norm = max(np.linalg.norm(lo), np.linalg.norm(hi))
     L_est = f.sampled_lipschitz(lo, hi, samples=samples, seed=seed)
     L_cert = f.lipschitz_bound(lo, hi)
 
@@ -577,9 +575,8 @@ def check_conditions(f: ReactionTerm, lo, hi, samples: int = 10_000,
 
     return ConditionReport(
         samples=samples,
-        ball_radius=float(corners_norm),
+        ball_radius=ball_radius(lo, hi),
         lipschitz_estimate=L_est,
-        lipschitz_certified=L_cert,
         quasipos_violations=violations,
         mass_margin=mass_margin,
         growth_worst_ratio=worst_ratio,

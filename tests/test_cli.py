@@ -236,6 +236,8 @@ BAD_WEIGHTS_CFG = SIM_CFG.replace("diffusion = 0.05", "diffusion = 0.05\nweights
      "config error: domain.initials: initial profile arguments must be numbers: 'constant:x'"),
     ("simulate", SIM_CFG.replace("fisher-kpp", "none"),
      "config error: wrapper.eps given but reaction.name is 'none'"),
+    ("simulate", SIM_CFG.replace("cosine:0.5,0.4,1", "constant:inf"),
+     "config error: domain.initial: initial profile arguments must be finite: 'constant:inf'"),
     ("simulate", SIM_CFG.replace("steps = 60", "steps = inf"),
      "config error: grid.steps must be finite, got 'inf'"),
     ("simulate", SIM_CFG.replace("diffusion = 0.05", "diffusion = nan"),
@@ -244,7 +246,7 @@ BAD_WEIGHTS_CFG = SIM_CFG.replace("diffusion = 0.05", "diffusion = 0.05\nweights
         "levels-order-option", "levels-start-option", "levels-order-config",
         "levels-start-config", "lam0", "q", "noise", "diffusion-floor", "widths-positive",
         "gamma-beta", "initials", "levels-wrap-rates", "profile-simulate", "profile-learn",
-        "wrapper-without-reaction", "steps-inf", "diffusion-nan"])
+        "wrapper-without-reaction", "profile-inf", "steps-inf", "diffusion-nan"])
 def test_inconsistent_values_exit_2_and_name_the_key(command, text, named, tmp_path, capsys):
     cfg = write(tmp_path, text)
     code = main(command.split() + ["--config", cfg, "--out", str(tmp_path / "o")])

@@ -405,6 +405,16 @@ def test_local_lipschitz_profile():
     assert wrap(make_reaction("fisher-kpp"), chi).local_lipschitz(1.0) is None
 
 
+def test_box_ball_radius_is_the_norm_of_the_farthest_corner():
+    """lo = (-3, 0), hi = (0.5, 5): the lower corner dominates the first
+    coordinate and the upper corner the second, so the farthest corner is
+    (-3, 5) at sqrt(34), beyond both |lo| = 3 and |hi| = 5.02."""
+    g = wrap(MLPReaction.from_seed((2, 8, 2), seed=2), build_mollified_heaviside(0.2))
+    lo, hi = [-3.0, 0.0], [0.5, 5.0]
+    assert g.lipschitz_bound(lo, hi) == g.local_lipschitz(math.sqrt(34.0))
+    assert check_conditions(g, lo, hi, samples=200).ball_radius == math.sqrt(34.0)
+
+
 def test_mass_inequality_with_derived_constants():
     mlp = MLPReaction.from_seed((3, 16, 3), seed=11, scale=2.0)
     g = wrap(mlp, build_mollified_heaviside(0.2))
@@ -430,11 +440,12 @@ def test_check_conditions_summary_shows_the_certified_bound():
     g = wrap(mlp, build_mollified_heaviside(0.2))
     lo, hi = [0.0, 0.0], [1.0, 1.0]
     report = check_conditions(g, lo, hi, samples=500)
-    assert report.lipschitz_certified == g.lipschitz_bound(lo, hi)
-    assert report.lipschitz_estimate <= report.lipschitz_certified
+    assert report.constants.label == "certified"
+    assert report.constants.lipschitz == g.lipschitz_bound(lo, hi)
+    assert report.lipschitz_estimate <= report.constants.lipschitz
     line = report.summary().splitlines()[1]
     assert line.startswith("(L) Lipschitz estimate on ball radius ")
-    assert line.endswith(f" (certified bound {report.lipschitz_certified:.6g})")
+    assert line.endswith(f" (certified bound {report.constants.lipschitz:.6g})")
 
 
 def test_schedule_properties():
@@ -482,7 +493,7 @@ def test_rate_preservation_shift_family():
     np.testing.assert_allclose(study.sup_raw, 1.0 / levels, rtol=1e-12)
     assert study.fitted_slope == pytest.approx(-0.9842316432901194, abs=1e-8)
     assert -1.15 <= study.fitted_slope <= -0.85
-    assert study.preserved_rate == 1.0
+    assert sched.preserved_rate == 1.0
     rows = list(study.rows())
     assert rows[0][0] == 4 and rows[0][1] == 0.5
 

@@ -42,7 +42,7 @@ def diffusion_truth(grid=GRID, d=0.05):
 
 def small_problem(operator=None, data=None, sched=None, widths=(1, 4, 1),
                   **kw):
-    operator = operator or MeasurementOperator("full")
+    operator = operator or MeasurementOperator()
     if data is None:
         truth = diffusion_truth()
         data = operator.apply(truth.values, GRID)
@@ -58,13 +58,13 @@ def small_problem(operator=None, data=None, sched=None, widths=(1, 4, 1),
 
 
 def test_full_operator_is_identity():
-    """"full" is the stride-1 subsample: both return the grid state
-    unchanged, bit for bit, -0.0, inf and NaN included."""
+    """The default operator is the stride-1 subsample: it returns the grid
+    state unchanged, bit for bit, -0.0, inf and NaN included."""
     u = np.random.default_rng(0).standard_normal((2, 9, 9))
     u[0, 0, :4] = [-0.0, np.inf, -np.inf, np.nan]
     u[1, 3, 8] = -0.0
     u[1, 8, 2] = np.nan
-    for op in (MeasurementOperator("full"), MeasurementOperator("subsample", stride=1)):
+    for op in (MeasurementOperator(), MeasurementOperator("subsample", stride=1)):
         for method in (op.apply, op.adjoint, op.reconstruct):
             out = method(u, GRID)
             assert out.shape == u.shape and out.tobytes() == u.tobytes(), (op, method)
@@ -132,10 +132,14 @@ def test_fourier_reconstruct_recovers_band_limited_field():
 
 @pytest.mark.parametrize("kwargs, match", [
     (dict(kind="nearest"), "kind must be"),
-    (dict(kind="full", stride=2), "stride applies to subsample"),
+    (dict(kind="fourier", modes=3, stride=2), "stride applies to subsample"),
     (dict(kind="subsample", stride=0), "stride"),
     (dict(kind="fourier"), "modes >= 1"),
     (dict(kind="subsample", stride=2, modes=3), "modes apply to fourier"),
+    (dict(kind="subsample", stride=2.5), "stride must be integers"),
+    (dict(kind="subsample", stride=np.inf), "stride must be integers"),
+    (dict(kind="fourier", modes=3.7), "modes must be integers"),
+    (dict(kind="fourier", modes=np.nan), "modes must be integers"),
 ])
 def test_operator_validation(kwargs, match):
     with pytest.raises(ValueError, match=match):
@@ -148,7 +152,7 @@ def test_operator_validation(kwargs, match):
 
 def test_noise_norm_is_exactly_ninety_percent_of_radius():
     truth = diffusion_truth()
-    op = MeasurementOperator("full")
+    op = MeasurementOperator()
     y = generate_measurements(truth, op, delta=0.25, seed=4)
     clean = op.apply(truth.values, GRID)
     assert np.linalg.norm(y - clean) == pytest.approx(0.225, rel=1e-12)
@@ -163,7 +167,7 @@ def test_zero_radius_returns_clean_measurement():
 
 def test_noise_seeds_give_different_draws_of_equal_norm():
     truth = diffusion_truth()
-    op = MeasurementOperator("full")
+    op = MeasurementOperator()
     clean = op.apply(truth.values, GRID)
     y1 = generate_measurements(truth, op, delta=0.1, seed=0)
     y2 = generate_measurements(truth, op, delta=0.1, seed=1)
@@ -173,7 +177,7 @@ def test_noise_seeds_give_different_draws_of_equal_norm():
 
 def test_negative_radius_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
-        generate_measurements(diffusion_truth(), MeasurementOperator("full"), -0.1)
+        generate_measurements(diffusion_truth(), MeasurementOperator(), -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +282,7 @@ def test_project_lifts_d_and_scales_theta_onto_the_ball():
 def test_zero_variables_cost_only_diffusion_floor():
     # zero states, zero data, zero parameters: every term vanishes except
     # |D|^2, and the initial iterate puts D at the floor
-    op = MeasurementOperator("full")
+    op = MeasurementOperator()
     prob = small_problem(op, data=np.zeros((1, 1, 9, 9)))
     x = prob.pack(np.full((1, 1), D_MIN), np.zeros((1, 1, 9, 9)),
                   np.zeros((1, 1, 9)), np.zeros(MLPReaction.parameter_count(prob.widths)))
@@ -294,7 +298,7 @@ def test_truth_insertion_zeroes_the_data_terms():
     solver rounding and misfits exactly zero, because the residual uses
     the same implicit-diffusion stencil the simulator stepped with."""
     truth = diffusion_truth()
-    op = MeasurementOperator("full")
+    op = MeasurementOperator()
     prob = small_problem(op, data=op.apply(truth.values, GRID))
     x = prob.pack(np.full((1, 1), 0.05), truth.values[None],
                   truth.values[:, 0][None], np.zeros(MLPReaction.parameter_count(prob.widths)))
@@ -306,7 +310,7 @@ def test_truth_insertion_zeroes_the_data_terms():
 
 def test_doubling_lam_doubles_exactly_the_trajectory_blocks():
     truth = diffusion_truth()
-    op = MeasurementOperator("full")
+    op = MeasurementOperator()
     data = generate_measurements(truth, op, delta=0.1, seed=2)
     base = make_schedule(2.0, 1.0, 0.5)[0]
     doubled = replace(base, lam=2.0 * base.lam)
@@ -324,7 +328,7 @@ def test_doubling_lam_doubles_exactly_the_trajectory_blocks():
 
 def test_objective_symmetric_under_trajectory_permutation():
     truth = diffusion_truth()
-    op = MeasurementOperator("full")
+    op = MeasurementOperator()
     y0 = generate_measurements(truth, op, delta=0.1, seed=5)
     y1 = generate_measurements(truth, op, delta=0.1, seed=6)
     prob_a = small_problem(op, data=np.stack([y0, y1]))
@@ -340,7 +344,7 @@ def test_objective_symmetric_under_trajectory_permutation():
 
 
 OPERATORS = {
-    "full": MeasurementOperator("full"),
+    "full": MeasurementOperator(),
     "subsample": MeasurementOperator("subsample", stride=2),
     "fourier": MeasurementOperator("fourier", modes=3),
 }
@@ -402,7 +406,7 @@ def test_a_gradient_makes_one_value_pass_for_all_trajectories(monkeypatch):
     """One network reverse pass for the L2 term and one over the points of
     every trajectory together, however many trajectories there are."""
     rng = np.random.default_rng(3)
-    prob = small_problem(MeasurementOperator("full"), rng.standard_normal((3, 1, 9, 9)))
+    prob = small_problem(MeasurementOperator(), rng.standard_normal((3, 1, 9, 9)))
     x = prob.initial_iterate(seed=0)
     rows = []
     original = MLPReaction.vjp
@@ -487,7 +491,7 @@ def _refuse(*args, **kwargs):
 def test_parameter_norm_gradient_is_the_unit_radial_field():
     # two schedules differing only in nu isolate the |theta| term
     truth = diffusion_truth()
-    op = MeasurementOperator("full")
+    op = MeasurementOperator()
     data = op.apply(truth.values, GRID)
     base = make_schedule(2.0, 1.0, 0.5)[0]
     bumped = replace(base, nu=base.nu + 1.0)
@@ -514,13 +518,13 @@ def test_two_dimensional_grids_rejected():
     with pytest.raises(ValueError, match="1D grids"):
         AllAtOnceProblem(grid, (1, 4, 1), build_mollified_heaviside(1.0),
                          make_schedule(2.0, 1.0, 0.5)[0],
-                         MeasurementOperator("full"),
+                         MeasurementOperator(),
                          np.zeros((1, 5, 5, 5)))
 
 
 def test_data_shape_mismatch_rejected():
     with pytest.raises(ValueError, match="does not end with one measurement"):
-        small_problem(MeasurementOperator("full"), data=np.zeros((1, 1, 4, 4)))
+        small_problem(MeasurementOperator(), data=np.zeros((1, 1, 4, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +533,7 @@ def test_data_shape_mismatch_rejected():
 
 def test_solve_level_history_is_monotone_and_projects_diffusion():
     truth = diffusion_truth()
-    op = MeasurementOperator("full")
+    op = MeasurementOperator()
     prob = small_problem(op, data=op.apply(truth.values, GRID))
     res = solve_level(prob, step=0.02, max_iters=120, seed=0)
     assert np.all(np.diff(res.history) <= 1e-12)
@@ -572,7 +576,7 @@ def test_optimizer_never_lifts_misfit_off_its_floor(monkeypatch):
     recording the terms there sees x0 and each accepted iterate but the
     last, whose terms the result carries."""
     truth = diffusion_truth()
-    op = MeasurementOperator("full")
+    op = MeasurementOperator()
     data = op.apply(truth.values, GRID)
     sched = LevelSchedule(m=1, eps=1.0, lam=5.0, mu=1e12, nu=1e-3,
                           delta=0.0625, psi=50.0)
@@ -597,7 +601,7 @@ def test_optimizer_never_lifts_misfit_off_its_floor(monkeypatch):
 
 def test_learned_reaction_is_exactly_quasipositive_on_the_face():
     truth = diffusion_truth()
-    op = MeasurementOperator("full")
+    op = MeasurementOperator()
     prob = small_problem(op, data=op.apply(truth.values, GRID))
     res = solve_level(prob, step=0.02, max_iters=60, seed=1)
     fbar = prob.reaction(res.theta)
@@ -610,14 +614,14 @@ def test_identification_sweep_runs_the_level_loop():
     grid = SpaceTimeGrid(1.0, 9, 0.2, 8)
     u0 = (0.2 + 0.6 * grid.axis(0))[None, None]
     scheds = make_schedule(2.0, 1.0, 0.5, lam0=10.0)
-    ops = [MeasurementOperator("full") for _ in scheds]
+    ops = [MeasurementOperator() for _ in scheds]
     rows, results = identification_sweep(
         fisher, 0.05, u0, grid, scheds, ops, (1, 4, 1), seed=0,
         step=0.05, max_iters=40, sup_points=32)
     assert [r.m for r in rows] == [1, 2, 3]
     for row, res in zip(rows, results):
         assert np.isfinite(row.sup_error) and row.sup_error > 0.0
-        assert row.objective == pytest.approx(res.objective)
+        assert res.objective == sum(res.terms.values())
         assert res.theta.shape == (13,)
     assert len({tuple(r.theta) for r in results}) == 3
 
@@ -631,13 +635,13 @@ def test_identification_sweep_runs_two_species():
     u0 = np.stack([np.stack([0.3 + 0.5 * x, 0.8 - 0.4 * x]),
                    np.stack([np.full(9, 0.6), 0.2 + 0.3 * x])])
     scheds = make_schedule(2.0, 1.0, 0.5, lam0=10.0)
-    ops = [MeasurementOperator("full") for _ in scheds]
+    ops = [MeasurementOperator() for _ in scheds]
     rows, results = identification_sweep(
         lv, 0.05, u0, grid, scheds, ops, (2, 4, 2), seed=0,
         step=0.05, max_iters=5, sup_points=32)
     assert [r.m for r in rows] == [1, 2, 3]
     for row, res in zip(rows, results):
-        assert np.isfinite([row.objective, row.residual_term, row.misfit_term,
+        assert np.isfinite([res.objective, res.terms["residual"], res.terms["data_misfit"],
                             row.sup_error, row.d_error]).all()
         assert res.theta.shape == (22,)
         assert res.D.shape == (2, 2)
@@ -650,7 +654,7 @@ def test_identification_sweep_takes_one_layout_of_initial_states():
     grid = SpaceTimeGrid(1.0, 9, 0.2, 8)
     u0 = np.stack([0.2 + 0.6 * grid.axis(0), np.full(9, 0.4)])
     scheds = make_schedule(2.0, 1.0, 0.5)
-    ops = [MeasurementOperator("full") for _ in scheds]
+    ops = [MeasurementOperator() for _ in scheds]
     with pytest.raises(ValueError, match=r"u0_profiles has shape \(2, 9\), expected \(L, n"):
         identification_sweep(fisher, 0.05, u0, grid, scheds, ops, (1, 4, 1))
 
@@ -662,4 +666,4 @@ def test_identification_sweep_rejects_mismatched_operator_count():
     scheds = make_schedule(2.0, 1.0, 0.5)
     with pytest.raises(ValueError, match="one operator per schedule level"):
         identification_sweep(fisher, 0.05, u0, grid, scheds,
-                             [MeasurementOperator("full")], (1, 4, 1))
+                             [MeasurementOperator()], (1, 4, 1))
