@@ -530,6 +530,9 @@ def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) 
         if len(modes) != len(levels):
             raise ConfigError(f"measurement.modes needs one entry per level, got {modes}")
         ops = [MeasurementOperator("fourier", modes=k) for k in modes]
+        with _keyed("measurement.modes"):
+            for op in ops:
+                op.check_grid(grid)
     else:
         raise ConfigError(f"measurement.kind must be full, subsample or fourier, got {kind!r}")
 
@@ -542,9 +545,11 @@ def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) 
     )
     out.write_csv(
         "results.csv",
-        ["m", "objective", "residual_term", "misfit_term", "sup_error_f", "D_error"],
+        ["m", "objective", "residual_term", "misfit_term", "sup_error_f", "D_error",
+         "stop_reason", "iterations"],
         ((row.m, res.objective, res.terms["residual"], res.terms["data_misfit"],
-          row.sup_error, row.d_error) for row, res in zip(rows, results)),
+          row.sup_error, row.d_error, res.stop_reason, res.iterations)
+         for row, res in zip(rows, results)),
     )
     for sched, res in zip(scheds, results):
         with out.file(f"params_m{sched.m}.txt") as tmp:

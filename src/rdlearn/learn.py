@@ -91,6 +91,14 @@ class MeasurementOperator:
         elif self.modes is not None:
             raise ValueError("modes apply to fourier operators only")
 
+    def check_grid(self, grid: SpaceTimeGrid) -> None:
+        """Raises ValueError unless the grid resolves every measured mode:
+        above its node count, cosine modes alias on the nodes and the
+        measurement is no longer injective on them."""
+        if self.kind == "fourier" and self.modes > grid.nodes[0]:
+            raise ValueError(f"modes = {self.modes} exceeds the grid's {grid.nodes[0]} nodes, "
+                             f"on which higher cosine modes alias")
+
     def apply(self, u: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
         """Measure states of shape (..., steps+1, nodes)."""
         if self.kind == "fourier":
@@ -258,6 +266,7 @@ class AllAtOnceProblem:
         self.n_species = self.widths[0]
         self.chi = chi
         self.schedule = schedule
+        operator.check_grid(grid)
         self.operator = operator
 
         data = np.asarray(data, dtype=float)
@@ -498,44 +507,120 @@ class LevelResult:
         return float(self.history[-1])
 
 
+_BLOCK = 4096
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b of two flat arrays, summed in a fixed order: one np.dot per
+    block of _BLOCK consecutive entries, the partials added in block order.
+
+    It rests on one premise: OpenBLAS runs a dot product of _BLOCK entries
+    on one thread, so each partial, and so the sum, has the same bits under
+    every thread count. One np.dot over 10001 or more entries is split
+    across threads, and its rounding follows the split.
+    """
+    total = 0.0
+    for i in range(0, a.size, _BLOCK):
+        total += float(np.dot(a[i:i + _BLOCK], b[i:i + _BLOCK]))
+    return total
+
+
+def _two_loop(memory, g: np.ndarray) -> np.ndarray:
+    """H g for the L-BFGS inverse-Hessian model H of the curvature pairs
+    (s, y, 1 / s.y) in memory, oldest first, whose initial metric is the
+    scalar s.y / y.y of the newest pair (Nocedal and Wright, §7.2)."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(memory):
+        alphas.append(rho * _dot(s, q))
+        q -= alphas[-1] * y
+    _, y, rho = memory[-1]
+    q *= 1.0 / (rho * _dot(y, y))
+    for (s, y, rho), a in zip(memory, reversed(alphas)):
+        q += (a - rho * _dot(y, q)) * s
+    return q
+
+
 def solve_level(prob: AllAtOnceProblem, x0=None, *, step: float = STEP,
                 max_iters: int = MAX_ITERS, seed: int = 0) -> LevelResult:
-    """Minimize one level with adaptive-moment steps and a monotone guard.
+    """Minimize one level by projected L-BFGS under a monotone guard.
 
-    Every proposed point is projected onto the feasible set
-    (`AllAtOnceProblem.project`) and backtracked (halving) until the
-    objective does not increase by more than 1e-12. Stops when the
-    relative decrease over the last 50 iterations falls below 1e-8, when
-    the step underflows, or at max_iters.
+    Each iteration takes the gradient at the current point, forms the
+    curvature pair (x - x_prev, g - g_prev) and keeps the last ten with
+    positive s.y. As in Bertsekas' projected Newton method, it holds fixed
+    each D at its floor whose gradient points down, and the radial part of
+    theta when theta is on the psi sphere and -g points outward. Removing
+    them is an orthogonal projection, so minus the two-loop product
+    (`_two_loop`) with the remaining gradient is a descent direction. With
+    no pairs the direction is that gradient's steepest descent, scaled to
+    max-norm length `step`: `step` sets the first step and the step after
+    a memory reset. Each trial point is projected onto the feasible set
+    (`AllAtOnceProblem.project`) and the step halved, at most 40 times,
+    until the objective rises by no more than 1e-12; when no trial passes,
+    a nonempty memory is dropped and the iteration retried once.
+
+    Stops "converged" when the objective fell by less than 1e-6 relative
+    over the last 50 iterations, "step underflow" when no trial passes
+    without a memory, and "iteration cap" at max_iters. An iteration costs
+    one reverse pass and one forward pass per trial; its dot products go
+    through `_dot`, so the iterates do not depend on the BLAS thread count.
     """
-    tol, patience = 1e-8, 50
+    tol, window, pairs = 1e-6, 50, 10
     x = prob.initial_iterate(seed) if x0 is None else np.array(x0, dtype=float)
     obj = prob.objective(x)
     history = [obj]
-    b1, b2, tiny = 0.9, 0.999, 1e-8
-    m = np.zeros_like(x)
-    v = np.zeros_like(x)
+    memory = []  # (s, y, 1 / s.y), oldest first
     stop_reason = "iteration cap"
 
     for it in range(1, max_iters + 1):
         g = prob.gradient(x)
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        direction = (m / (1.0 - b1 ** it)) / (np.sqrt(v / (1.0 - b2 ** it)) + tiny)
-        s = step
-        for _ in range(41):  # the steps step * 2^-k, k = 0 .. 40
-            x_new = prob.project(x - s * direction)
-            obj_new = prob.objective(x_new)
-            if obj_new <= obj + 1e-12:
+        if it > 1:
+            s, y = x - x_prev, g - g_prev
+            sy = _dot(s, y)
+            if sy > 1e-10 * _dot(y, y):
+                memory = memory[1 - pairs:] + [(s, y, 1.0 / sy)]
+        x_prev, g_prev = x, g
+
+        D, _, _, theta = prob.unpack(x)
+        gD, _, _, gth = prob.unpack(g)
+        frozen = (D <= D_MIN) & (gD > 0.0)
+        tt = _dot(theta, theta)
+        radial = tt >= prob.schedule.psi ** 2 * (1.0 - 1e-12) and _dot(gth, theta) < 0.0
+
+        def free(v):
+            """v without the coordinates this iteration holds fixed, in place."""
+            vD, _, _, vth = prob.unpack(v)
+            vD[frozen] = 0.0
+            if radial:
+                vth -= (_dot(vth, theta) / tt) * theta
+            return v
+
+        pg = free(g.copy())
+        while True:
+            if memory:
+                d = -free(_two_loop(memory, pg))
+            else:
+                top = float(np.max(np.abs(pg)))
+                d = -pg * (step / top if top > 0.0 else 0.0)
+            t = 1.0
+            for _ in range(41):  # the trial steps 2^-k d, k = 0 .. 40
+                x_new = prob.project(x + t * d)
+                obj_new = prob.objective(x_new)
+                if obj_new <= obj + 1e-12:
+                    break
+                t *= 0.5
+            else:
+                x_new = None
+            if x_new is not None or not memory:
                 break
-            s *= 0.5
-        else:
+            memory = []
+        if x_new is None:
             stop_reason = "step underflow"
             break
         x, obj = x_new, obj_new
         history.append(obj)
-        if it > patience:
-            past = history[-patience - 1]
+        if it > window:
+            past = history[-window - 1]
             if past - obj < tol * max(1.0, abs(past)):
                 stop_reason = "converged"
                 break

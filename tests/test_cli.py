@@ -242,11 +242,15 @@ BAD_WEIGHTS_CFG = SIM_CFG.replace("diffusion = 0.05", "diffusion = 0.05\nweights
      "config error: grid.steps must be finite, got 'inf'"),
     ("simulate", SIM_CFG.replace("diffusion = 0.05", "diffusion = nan"),
      "config error: reaction.diffusion must be finite, got 'nan'"),
+    ("learn", LEARN_CFG.replace("kind = subsample\nstrides = 4,2,1",
+                                "kind = fourier\nmodes = 3,5,40"),
+     "config error: measurement.modes: modes = 40 exceeds the grid's 21 nodes"),
 ], ids=["diffusion", "weights-simulate", "weights-check", "delta", "diffusion-learn", "kind",
         "levels-order-option", "levels-start-option", "levels-order-config",
         "levels-start-config", "lam0", "q", "noise", "diffusion-floor", "widths-positive",
         "gamma-beta", "initials", "levels-wrap-rates", "profile-simulate", "profile-learn",
-        "wrapper-without-reaction", "profile-inf", "steps-inf", "diffusion-nan"])
+        "wrapper-without-reaction", "profile-inf", "steps-inf", "diffusion-nan",
+        "fourier-modes-above-nodes"])
 def test_inconsistent_values_exit_2_and_name_the_key(command, text, named, tmp_path, capsys):
     cfg = write(tmp_path, text)
     code = main(command.split() + ["--config", cfg, "--out", str(tmp_path / "o")])
@@ -562,7 +566,8 @@ def test_learn_levels_flag_overrides_config(tmp_path):
     assert main(["learn", "--config", cfg, "--out", out, "--levels", "2"]) == 0
     with open(os.path.join(out, "results.csv")) as fh:
         lines = fh.read().splitlines()
-    assert lines[0] == "m,objective,residual_term,misfit_term,sup_error_f,D_error"
+    assert lines[0] == ("m,objective,residual_term,misfit_term,sup_error_f,D_error,"
+                        "stop_reason,iterations")
     assert len(lines) == 2
     assert lines[1].startswith("2,")
     with open(os.path.join(out, "params_m2.txt")) as fh:
@@ -578,6 +583,10 @@ def test_learn_says_why_each_level_stopped(tmp_path, capsys):
     levels = [line for line in lines if line.startswith("level ")]
     assert len(levels) == 3
     assert all(line.endswith(", iteration cap after 4 iterations") for line in levels)
+    with open(os.path.join(tmp_path, "o", "results.csv")) as fh:
+        header, *rows = [line.split(",") for line in fh.read().splitlines()]
+    assert header[-2:] == ["stop_reason", "iterations"]
+    assert [row[-2:] for row in rows] == [["iteration cap", "4"]] * 3
     # eps_1 = 1: the ramp (0.5, 1.5) covers the top of the box [0, 1.2];
     # from level 2 on (eps + delta = 1.06, 0.87) it ends inside the box
     warnings = [line for line in lines if line.startswith("warning: ")]

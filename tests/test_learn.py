@@ -11,6 +11,9 @@ to solver rounding) need no freezing.
 """
 
 import gc
+import os
+import subprocess
+import sys
 import weakref
 from dataclasses import fields, replace
 
@@ -18,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rdlearn
 from rdlearn.learn import (
     AllAtOnceProblem,
     LevelSchedule,
@@ -144,6 +148,18 @@ def test_fourier_reconstruct_recovers_band_limited_field():
 def test_operator_validation(kwargs, match):
     with pytest.raises(ValueError, match=match):
         MeasurementOperator(**kwargs)
+
+
+def test_problem_rejects_more_fourier_modes_than_grid_nodes():
+    """Up to the node count the cosine modes stay independent on the grid
+    and `reconstruct` recovers a measured state; one mode more aliases."""
+    op = MeasurementOperator("fourier", modes=9)
+    u = diffusion_truth().values
+    np.testing.assert_allclose(op.reconstruct(op.apply(u, GRID), GRID), u, atol=1e-12)
+    small_problem(op)
+    too_many = MeasurementOperator("fourier", modes=10)
+    with pytest.raises(ValueError, match="modes = 10 exceeds the grid's 9 nodes"):
+        small_problem(too_many, data=np.zeros((1, 1, 9, 10)))
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +584,29 @@ def test_solve_level_says_why_it_stopped(monkeypatch):
     assert len(calls) == 1 + 41
 
 
+def test_step_is_the_max_norm_length_of_first_and_reset_steps(monkeypatch):
+    """The first step is steepest descent of max-norm length `step`. When
+    all 41 trials along the L-BFGS direction fail, the memory is dropped
+    and the same iteration retries steepest descent of that length."""
+    prob = small_problem()
+    trials = []
+
+    def scripted(x):
+        trials.append(np.array(x))
+        # x0, the first trial of iteration 1, then 41 rejected trials and
+        # one accepted trial in iteration 2
+        return {1: 1.0, 2: 0.9, 44: 0.8}.get(len(trials), 2.0)
+
+    monkeypatch.setattr(prob, "objective", scripted)
+    res = solve_level(prob, step=0.02, max_iters=2)
+    assert (res.stop_reason, res.iterations) == ("iteration cap", 2)
+    assert list(res.history) == [1.0, 0.9, 0.8]
+    assert len(trials) == 44
+    assert np.max(np.abs(trials[1] - trials[0])) == pytest.approx(0.02, rel=1e-12)
+    assert np.max(np.abs(trials[2] - trials[1])) != pytest.approx(0.02, rel=1e-6)
+    assert np.max(np.abs(trials[43] - trials[1])) == pytest.approx(0.02, rel=1e-12)
+
+
 def test_optimizer_never_lifts_misfit_off_its_floor(monkeypatch):
     """With clean full data, the truth inserted and a huge misfit weight,
     no accepted step may raise the data misfit above rounding scale.
@@ -597,6 +636,41 @@ def test_optimizer_never_lifts_misfit_off_its_floor(monkeypatch):
     assert worst <= 1e-10
     # the truth lives in [0.3, 0.8], well inside the default box
     assert res.state_containment >= 0.99
+
+
+def test_solve_level_loads_no_scipy_optimize():
+    """The level solve is numpy alone: importing the CLI and running one
+    level leaves scipy.optimize unloaded (its import costs about 19 MB)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rdlearn.__file__)))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    code = ("import sys, rdlearn.cli\n"
+            f"sys.path.insert(0, {tests!r})\n"
+            "from test_learn import small_problem\n"
+            "from rdlearn.learn import solve_level\n"
+            "solve_level(small_problem(), step=0.02, max_iters=5)\n"
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
+
+
+def test_blocked_dot_is_the_same_under_one_and_two_blas_threads():
+    """Over 15006 entries one np.dot is split across two threads, and its
+    rounding follows the split; the blocked dot gives the same bytes."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rdlearn.__file__)))
+    code = ("import numpy as np\n"
+            "from rdlearn.learn import _dot\n"
+            "rng = np.random.default_rng(5)\n"
+            "a, b = rng.standard_normal(15006), rng.standard_normal(15006)\n"
+            "print(_dot(a, b).hex(), _dot(a, a).hex())")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        outs.append(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                   text=True, check=True, env=env).stdout)
+    assert outs[0] == outs[1]
+    assert len(outs[0].split()) == 2
 
 
 def test_learned_reaction_is_exactly_quasipositive_on_the_face():
