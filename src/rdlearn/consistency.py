@@ -131,18 +131,12 @@ class ConsistentReaction(ReactionTerm):
 
     # -- evaluation ----------------------------------------------------
 
-    def cutoffs(self, u, f=None) -> Cutoffs:
-        """The cutoffs of a batch (S, N); given the base term's values f,
-        only a batch with a negative f_n is read. chi' is evaluated when
-        first read."""
-        return Cutoffs(self.chi, u, f)
-
     def eval(self, u):
         """fbar(u) = f - P_-(f) chi(u_n). The base term runs first, so a
         batch with no f_n < 0 (and no NaN u_n) evaluates no cutoff."""
         ub, single = as_batch(u, self.n_species)
         f = self.base.eval(ub)
-        out = lift(f, self.cutoffs(ub, f).values)
+        out = lift(f, Cutoffs(self.chi, ub, f).values)
         return out[0] if single else out
 
     def jacobian(self, u, cut: Cutoffs | None = None):
@@ -155,7 +149,7 @@ class ConsistentReaction(ReactionTerm):
         """
         ub, single = as_batch(u, self.n_species)
         f, J = self.base.value_and_jacobian(ub)
-        scale, d_u = lift_partials(f, self.cutoffs(ub, f) if cut is None else cut)
+        scale, d_u = lift_partials(f, Cutoffs(self.chi, ub, f) if cut is None else cut)
         out = scale[:, :, None] * J
         diag = np.arange(self.n_species)
         out[:, diag, diag] += d_u
@@ -173,7 +167,7 @@ class ConsistentReaction(ReactionTerm):
         self._require_param()
         ub, _ = as_batch(u, self.n_species)
         f, acts = self.base.forward(ub)
-        cut = self.cutoffs(ub, f) if cut is None else cut
+        cut = Cutoffs(self.chi, ub, f) if cut is None else cut
         return WrappedTape(cut, f, acts, lift(f, cut.values))
 
     def value_vjp(self, cotangent, tape: WrappedTape):
@@ -197,7 +191,7 @@ class ConsistentReaction(ReactionTerm):
         self._require_param()
         state = self.base._value_jac_state(u)
         f = state[0]
-        cut = self.cutoffs(u, f)
+        cut = Cutoffs(self.chi, u, f)
         scale, _ = lift_partials(f, cut)
         base_cot_jac = scale[:, :, None] * cot_jac
         diag = np.arange(self.n_species)
@@ -283,9 +277,6 @@ class WrapperSchedule:
             raise ValueError(f"level index must be >= 1, got {m}")
         return float(m) ** (-self.gamma)
 
-    def chi(self, m: int) -> TransitionFunction:
-        return build_mollified_heaviside(self.eps(m))
-
     @property
     def preserved_rate(self) -> float:
         return min(self.alpha * self.gamma, self.beta)
@@ -344,7 +335,7 @@ def rate_preservation_study(f_target: ReactionTerm, approx_family,
     for i, m in enumerate(levels):
         fm = approx_family(m)
         raw[i] = _sup_error(f_target, fm, points)
-        wrapped[i] = _sup_error(f_target, wrap(fm, sched.chi(m)), points)
+        wrapped[i] = _sup_error(f_target, wrap(fm, build_mollified_heaviside(eps[i])), points)
     slope = _fitted_rate(levels, wrapped)
     if slope is None:
         raise ValueError("wrapped sup errors below floor at all levels; nothing to fit")

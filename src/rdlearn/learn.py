@@ -47,6 +47,24 @@ MAX_ITERS = 8000
 SUP_POINTS = 1024
 
 
+_BLOCK = 4096
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b of two flat arrays, summed in a fixed order: one np.dot per
+    block of _BLOCK consecutive entries, the partials added in block order.
+
+    It rests on one premise: OpenBLAS runs a dot product of _BLOCK entries
+    on one thread, so each partial, and so the sum, has the same bits under
+    every thread count. One np.dot over 10001 or more entries is split
+    across threads, and its rounding follows the split.
+    """
+    total = 0.0
+    for i in range(0, a.size, _BLOCK):
+        total += float(np.dot(a[i:i + _BLOCK], b[i:i + _BLOCK]))
+    return total
+
+
 # ---------------------------------------------------------------------------
 # measurement operators
 
@@ -247,9 +265,9 @@ class AllAtOnceProblem:
     Decision variables, packed flat in this order: diffusion coefficients
     D (trajectories x species), states u (trajectories x species x time x
     nodes), initial conditions u0, network parameters theta. The feasible
-    set is D >= D_MIN = 1e-6 and |theta| <= psi, and `project` maps a
-    packed point onto it. Everything else (data, operator, schedule,
-    quadrature rules on the reaction box) is fixed.
+    set is D >= D_MIN = 1e-6 and |theta| <= psi: `project` maps onto it,
+    and `hold` fixes what a descent step would push out of it. Everything
+    else (data, operator, schedule, quadrature rules on the box) is fixed.
     All trajectories form one batch: each pass evaluates the network once
     over the points of every trajectory, and the trajectory terms are sums
     over the leading trajectory axis.
@@ -337,17 +355,38 @@ class AllAtOnceProblem:
             theta *= self.schedule.psi / tn
         return x
 
+    def hold(self, x: np.ndarray, g: np.ndarray):
+        """The map P that holds fixed, in place on a packed vector, what a
+        descent step from x along minus its gradient g would push out of
+        the feasible set (Bertsekas' projected Newton method, SIAM J.
+        Control Optim. 1982): it zeroes each D at its floor with a positive
+        gradient, and the radial part of theta when theta is on the psi
+        sphere (|theta|^2 within a relative 1e-12 of psi^2) and -g points
+        outward. P is an orthogonal projection, so -P H P g is a descent
+        direction for every positive definite H unless P g = 0."""
+        D, _, _, theta = self.unpack(x)
+        gD, _, _, gth = self.unpack(g)
+        frozen = (D <= D_MIN) & (gD > 0.0)
+        tt = _dot(theta, theta)
+        radial = tt >= self.schedule.psi ** 2 * (1.0 - 1e-12) and _dot(gth, theta) < 0.0
+
+        def free(v):
+            vD, _, _, vth = self.unpack(v)
+            vD[frozen] = 0.0
+            if radial:
+                vth -= (_dot(vth, theta) / tt) * theta
+            return v
+
+        return free
+
     def reaction(self, theta) -> ConsistentReaction:
         return wrap(MLPReaction(self.widths, theta), self.chi)
 
     def initial_iterate(self, seed: int = 0) -> np.ndarray:
-        """Defaults: data-driven state, floor diffusion, small random theta."""
-        L, N = self.n_traj, self.n_species
+        """Data-driven state, floor diffusion and a small random theta, unprojected."""
         u = self.operator.reconstruct(self.data, self.grid)
-        u0 = u[:, :, 0].copy()
-        D = np.full((L, N), D_MIN)
-        theta = 0.05 * np.random.default_rng(seed).standard_normal(self._sizes[3])
-        return self.pack(D, u, u0, theta)
+        theta = 0.05 * np.random.default_rng(seed).standard_normal(self._shapes[3])
+        return self.pack(np.full(self._shapes[0], D_MIN), u, u[:, :, 0], theta)
 
     # ----------------------------------------------------------- objective
 
@@ -507,24 +546,6 @@ class LevelResult:
         return float(self.history[-1])
 
 
-_BLOCK = 4096
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """a . b of two flat arrays, summed in a fixed order: one np.dot per
-    block of _BLOCK consecutive entries, the partials added in block order.
-
-    It rests on one premise: OpenBLAS runs a dot product of _BLOCK entries
-    on one thread, so each partial, and so the sum, has the same bits under
-    every thread count. One np.dot over 10001 or more entries is split
-    across threads, and its rounding follows the split.
-    """
-    total = 0.0
-    for i in range(0, a.size, _BLOCK):
-        total += float(np.dot(a[i:i + _BLOCK], b[i:i + _BLOCK]))
-    return total
-
-
 def _two_loop(memory, g: np.ndarray) -> np.ndarray:
     """H g for the L-BFGS inverse-Hessian model H of the curvature pairs
     (s, y, 1 / s.y) in memory, oldest first, whose initial metric is the
@@ -545,19 +566,18 @@ def solve_level(prob: AllAtOnceProblem, x0=None, *, step: float = STEP,
                 max_iters: int = MAX_ITERS, seed: int = 0) -> LevelResult:
     """Minimize one level by projected L-BFGS under a monotone guard.
 
-    Each iteration takes the gradient at the current point, forms the
-    curvature pair (x - x_prev, g - g_prev) and keeps the last ten with
-    positive s.y. As in Bertsekas' projected Newton method, it holds fixed
-    each D at its floor whose gradient points down, and the radial part of
-    theta when theta is on the psi sphere and -g points outward. Removing
-    them is an orthogonal projection, so minus the two-loop product
-    (`_two_loop`) with the remaining gradient is a descent direction. With
-    no pairs the direction is that gradient's steepest descent, scaled to
-    max-norm length `step`: `step` sets the first step and the step after
-    a memory reset. Each trial point is projected onto the feasible set
-    (`AllAtOnceProblem.project`) and the step halved, at most 40 times,
-    until the objective rises by no more than 1e-12; when no trial passes,
-    a nonempty memory is dropped and the iteration retried once.
+    The start, x0 or `initial_iterate`, is projected onto the feasible set
+    first. Each iteration takes the gradient at the current point, forms
+    the curvature pair (x - x_prev, g - g_prev) and keeps the last ten with
+    positive s.y. The direction is minus the two-loop product
+    (`_two_loop`) with the gradient, or with no pairs the gradient's
+    steepest descent scaled to max-norm length `step`, so `step` sets the
+    first step and the step after a memory reset. `AllAtOnceProblem.hold`
+    removes the coordinates it holds fixed from the gradient and from the
+    direction. Each trial point is projected (`AllAtOnceProblem.project`)
+    and the step halved, at most 40 times, until the objective rises by no
+    more than 1e-12; when no trial passes, a nonempty memory is dropped and
+    the iteration retried once.
 
     Stops "converged" when the objective fell by less than 1e-6 relative
     over the last 50 iterations, "step underflow" when no trial passes
@@ -566,7 +586,7 @@ def solve_level(prob: AllAtOnceProblem, x0=None, *, step: float = STEP,
     through `_dot`, so the iterates do not depend on the BLAS thread count.
     """
     tol, window, pairs = 1e-6, 50, 10
-    x = prob.initial_iterate(seed) if x0 is None else np.array(x0, dtype=float)
+    x = prob.project(prob.initial_iterate(seed) if x0 is None else np.array(x0, dtype=float))
     obj = prob.objective(x)
     history = [obj]
     memory = []  # (s, y, 1 / s.y), oldest first
@@ -581,20 +601,7 @@ def solve_level(prob: AllAtOnceProblem, x0=None, *, step: float = STEP,
                 memory = memory[1 - pairs:] + [(s, y, 1.0 / sy)]
         x_prev, g_prev = x, g
 
-        D, _, _, theta = prob.unpack(x)
-        gD, _, _, gth = prob.unpack(g)
-        frozen = (D <= D_MIN) & (gD > 0.0)
-        tt = _dot(theta, theta)
-        radial = tt >= prob.schedule.psi ** 2 * (1.0 - 1e-12) and _dot(gth, theta) < 0.0
-
-        def free(v):
-            """v without the coordinates this iteration holds fixed, in place."""
-            vD, _, _, vth = prob.unpack(v)
-            vD[frozen] = 0.0
-            if radial:
-                vth -= (_dot(vth, theta) / tt) * theta
-            return v
-
+        free = prob.hold(x, g)
         pg = free(g.copy())
         while True:
             if memory:
@@ -628,8 +635,7 @@ def solve_level(prob: AllAtOnceProblem, x0=None, *, step: float = STEP,
     D, u, _, theta = prob.unpack(x)
     inside = ((u >= prob.box_lo[None, :, None, None])
               & (u <= prob.box_hi[None, :, None, None]))
-    return LevelResult(D=D, u=u, theta=theta,
-                       history=np.asarray(history),
+    return LevelResult(D=D, u=u, theta=theta, history=np.asarray(history),
                        terms=prob.objective_terms(x), stop_reason=stop_reason,
                        state_containment=float(inside.mean()))
 

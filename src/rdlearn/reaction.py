@@ -53,6 +53,12 @@ def _times_product(out, W, a):
     return out
 
 
+def _tanh_slope(a):
+    """1 - a^2, the slope of tanh where it takes the values a, as a new array."""
+    sq = a * a
+    return np.subtract(1.0, sq, out=sq)
+
+
 class ReactionTerm:
     """Base type: species count, evaluation rule, optional Jacobian rule.
 
@@ -305,9 +311,7 @@ class MLPReaction(ReactionTerm):
                 Z = _product(W, A_list[i].reshape(W.shape[1], -1)).reshape(W.shape[0], N, S)
             Z_list.append(Z)
             if i + 1 < len(self._layers):
-                slope = np.square(acts[i + 1])
-                np.subtract(1.0, slope, out=slope)
-                A_list.append(slope[:, None, :] * Z)
+                A_list.append(_tanh_slope(acts[i + 1])[:, None, :] * Z)
         J = np.ascontiguousarray(np.moveaxis(Z_list[-1], -1, 0))
         return f, acts, J, A_list, Z_list
 
@@ -329,9 +333,7 @@ class MLPReaction(ReactionTerm):
             gW[i] = delta @ acts[i].T
             gb[i] = delta.sum(axis=1)
             if i > 0:
-                slope = np.square(acts[i])
-                np.subtract(1.0, slope, out=slope)
-                delta = _times_product(slope, W.T, delta)
+                delta = _times_product(_tanh_slope(acts[i]), W.T, delta)
             else:
                 delta = _product(W.T, delta)
         return self._pack(gW, gb), delta.T
@@ -364,7 +366,7 @@ class MLPReaction(ReactionTerm):
                 a_hat = _product(W.T, z_hat)
                 A_hat = _product(W.T, Z_flat).reshape(n_in, N, S)
                 a_i = acts[i]
-                s = 1.0 - a_i * a_i
+                s = _tanh_slope(a_i)
                 z_hat = a_hat * s + np.sum(A_hat * Z_list[i - 1], axis=1) * (-2.0 * a_i * s)
                 Z_hat = s[:, None, :] * A_hat
         return self._pack(gW, gb)

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rdlearn.consistency
 from rdlearn.consistency import (
     ConsistencyConstants,
-    ConsistentReaction,
     Cutoffs,
     WrapperSchedule,
     rate_preservation_study,
@@ -156,10 +156,11 @@ def cross_term():
     return AnalyticReaction("cross", 2, fn, jac)
 
 
-def every_cutoff(self, u, f=None):
-    """`ConsistentReaction.cutoffs` that reads chi on every batch: the
-    reference, lift(f, chi(u))."""
-    return Cutoffs(self.chi, u)
+class EveryCutoff(Cutoffs):
+    """`Cutoffs` that reads chi on every batch: the reference, lift(f, chi(u))."""
+
+    def __init__(self, chi, u, f=None):
+        super().__init__(chi, u)
 
 
 @pytest.mark.parametrize("base", ["mlp", "analytic"])
@@ -199,7 +200,7 @@ def test_unread_cutoffs_keep_the_results_of_every_cutoff(base, monkeypatch):
         got = results(v)
         rng.bit_generator.state = state
         with monkeypatch.context() as m:
-            m.setattr(ConsistentReaction, "cutoffs", every_cutoff)
+            m.setattr(rdlearn.consistency, "Cutoffs", EveryCutoff)
             ref = results(v)
         for name in ("eval", "point", "forward", "forward_f"):
             if name in ref:
@@ -453,7 +454,7 @@ def test_schedule_properties():
     assert sched.eps(4) == 0.5
     assert sched.preserved_rate == 1.0  # gamma = beta/alpha recovers beta
     assert sched.eps(16) < sched.eps(4)
-    chi = sched.chi(4)
+    chi = build_mollified_heaviside(sched.eps(4))
     assert chi.eps == 0.5
     assert chi.delta == 0.25
     half = WrapperSchedule(alpha=4.0, beta=1.0, gamma=0.125)

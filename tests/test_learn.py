@@ -295,6 +295,48 @@ def test_project_lifts_d_and_scales_theta_onto_the_ball():
     assert prob.project(x.copy()).tobytes() == x.tobytes()
 
 
+def test_hold_fixes_only_what_a_descent_step_would_push_out():
+    """`hold` zeroes each D at the floor whose gradient is positive, and
+    removes theta's radial part only when theta is on the psi sphere and
+    -g points outward: not inside the ball, nor on the sphere with -g
+    inward. It leaves u and u0 alone, works in place, and is an orthogonal
+    projection, idempotent and symmetric up to rounding."""
+    prob = small_problem(data=np.zeros((3, 1, 9, 9)))
+    psi = prob.schedule.psi
+    rng = np.random.default_rng(21)
+    n_theta = MLPReaction.parameter_count(prob.widths)
+    direction = rng.standard_normal(n_theta)
+    direction /= np.linalg.norm(direction)
+    tangent = rng.standard_normal(n_theta)
+    tangent -= np.dot(tangent, direction) * direction
+    D = [[D_MIN], [D_MIN], [0.3]]
+    gD = [[1.0], [-1.0], [1.0]]
+    cases = {"inside, -g outward": (0.5 * psi, -1.0, False),
+             "sphere, -g inward": (psi, 1.0, False),
+             "sphere, -g outward": (psi, -1.0, True)}
+    for label, (radius, sign, radial) in cases.items():
+        theta = radius * direction
+        x = prob.pack(D, rng.standard_normal((3, 1, 9, 9)), rng.standard_normal((3, 1, 9)), theta)
+        g = prob.pack(gD, rng.standard_normal((3, 1, 9, 9)), rng.standard_normal((3, 1, 9)),
+                      tangent + sign * direction)
+        free = prob.hold(x, g)
+        v, w = rng.standard_normal((2, prob.n_variables))
+        pv = v.copy()
+        assert free(pv) is pv, label
+        (vD, vu, vu0, vth), (pD, pu, pu0, pth) = prob.unpack(v), prob.unpack(pv)
+        assert pD.ravel().tolist() == [0.0, vD[1, 0], vD[2, 0]], label
+        assert pu.tobytes() == vu.tobytes() and pu0.tobytes() == vu0.tobytes(), label
+        if radial:
+            np.testing.assert_allclose(pth, vth - np.dot(vth, direction) * direction,
+                                       rtol=1e-12, atol=1e-14)
+            assert abs(np.dot(pth, theta)) <= 1e-14 * np.linalg.norm(vth), label
+        else:
+            assert pth.tobytes() == vth.tobytes(), label
+        np.testing.assert_allclose(free(pv.copy()), pv, rtol=1e-12, atol=1e-15)
+        pw = free(w.copy())
+        assert np.dot(pv, w) == pytest.approx(np.dot(v, pw), rel=1e-12), label
+
+
 def test_zero_variables_cost_only_diffusion_floor():
     # zero states, zero data, zero parameters: every term vanishes except
     # |D|^2, and the initial iterate puts D at the floor
@@ -558,6 +600,58 @@ def test_solve_level_history_is_monotone_and_projects_diffusion():
     assert np.linalg.norm(res.theta) <= prob.schedule.psi + 1e-12
     assert res.iterations == len(res.history) - 1
     assert 0.0 <= res.state_containment <= 1.0
+
+
+def test_solve_level_projects_an_infeasible_start():
+    """The start is projected onto the feasible set before its objective is
+    taken: a given x0 with D below the floor and theta outside the psi
+    ball, which stays as given, and the initial iterate of a wide network
+    at level 1, whose random theta has norm about 3.3 against psi = 1."""
+    prob = small_problem()
+    psi = prob.schedule.psi
+    _, u, u0, theta = prob.unpack(prob.initial_iterate(0))
+    x0 = prob.pack([[-0.5]], u, u0, 6.74 * theta / np.linalg.norm(theta))
+    given = x0.copy()
+    res = solve_level(prob, x0, max_iters=0)
+    assert x0.tobytes() == given.tobytes()
+    assert res.D[0, 0] == D_MIN
+    assert np.linalg.norm(res.theta) <= psi * (1.0 + 1e-12)
+    assert list(res.history) == [prob.objective(prob.project(x0.copy()))]
+
+    wide = small_problem(widths=(1, 64, 64, 1))
+    assert np.linalg.norm(wide.unpack(wide.initial_iterate(0))[3]) > 3.0 * psi
+    res = solve_level(wide, max_iters=0, seed=0)
+    assert np.linalg.norm(res.theta) <= psi * (1.0 + 1e-12)
+    assert list(res.history) == [wide.objective(wide.project(wide.initial_iterate(0)))]
+
+
+def test_solve_level_descends_along_a_small_psi_sphere(monkeypatch):
+    """With Fisher-KPP data and psi = 0.05 the iterates reach the psi
+    sphere and stay on it while -g points outward, so `hold` removes
+    theta's radial part there; the history stays monotone and every
+    iterate feasible."""
+    u0 = 0.2 + 0.6 * GRID.axis(0)[None]
+    truth = solve(make_reaction("fisher-kpp"), DiffusionSpec((0.05,)), u0, GRID)
+    op = MeasurementOperator()
+    sched = LevelSchedule(m=1, eps=1.0, lam=5.0, mu=10.0, nu=1e-3, delta=0.0625, psi=0.05)
+    prob = small_problem(op, data=op.apply(truth.values, GRID), sched=sched)
+    radial = []
+    hold = prob.hold
+
+    def recording_hold(x, g):
+        free = hold(x, g)
+        theta = prob.unpack(x)[3]
+        probe = np.zeros(prob.n_variables)
+        prob.unpack(probe)[3][:] = theta
+        radial.append(np.linalg.norm(prob.unpack(free(probe))[3]) <= 1e-12 * np.linalg.norm(theta))
+        return free
+
+    monkeypatch.setattr(prob, "hold", recording_hold)
+    res = solve_level(prob, step=0.02, max_iters=150, seed=0)
+    assert len(radial) == res.iterations and sum(radial) > res.iterations // 2
+    assert np.all(np.diff(res.history) <= 1e-12)
+    assert np.linalg.norm(res.theta) <= 0.05 * (1.0 + 1e-12)
+    assert np.all(res.D >= D_MIN)
 
 
 def test_solve_level_says_why_it_stopped(monkeypatch):
