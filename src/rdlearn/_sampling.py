@@ -1,4 +1,4 @@
-"""Deterministic low-discrepancy sampling, quadrature and shared normalisers."""
+"""Deterministic sampling and quadrature, shared normalisers, packed views and rate fits."""
 
 from __future__ import annotations
 
@@ -58,6 +58,27 @@ def as_weights(c, n: int) -> np.ndarray:
     if c.shape != (n,) or np.any(c <= 0):
         raise ValueError("weights c must be positive, one per species")
     return c
+
+
+def split(x: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of the flat array x, one per shape, in order: a packed vector's
+    blocks, which read and write through to x."""
+    out, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append(x[start:start + size].reshape(shape))
+        start += size
+    return out
+
+
+def fitted_rate(x, y) -> float | None:
+    """Least-squares slope of log y against log x over the entries with y
+    above 1e-14, or None when fewer than two are left to fit."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    keep = y > 1e-14
+    if np.count_nonzero(keep) < 2:
+        return None
+    return float(np.polyfit(np.log(x[keep]), np.log(y[keep]), 1)[0])
 
 
 def trapezoid_weights(m: int, h: float) -> np.ndarray:

@@ -248,10 +248,12 @@ class OutputDir:
 
 def _build_grid(cfg: ExperimentConfig) -> SpaceTimeGrid:
     extent = cfg.getfloats("domain", "extent")
+    if min(extent) <= 0.0:
+        raise ConfigError(f"domain.extent must be positive, got {extent}")
     nodes = cfg.getints("grid", "nodes")
     horizon = cfg.getfloat("grid", "horizon", minimum=0.0)
     steps = cfg.getint("grid", "steps", minimum=0)
-    with _keyed("grid"):
+    with _keyed("grid.nodes"):
         return SpaceTimeGrid(tuple(extent), tuple(nodes), horizon, steps)
 
 
@@ -293,12 +295,15 @@ def _profile_values(text: str, grid: SpaceTimeGrid) -> np.ndarray:
 
 
 def _initial_state(text: str, key: str, grid: SpaceTimeGrid, n: int) -> np.ndarray:
-    """One trajectory's initial state (n, *grid.nodes) from n '|'-separated profiles."""
+    """One trajectory's nonnegative initial state (n, *grid.nodes) from n '|'-separated profiles."""
     parts = text.split("|")
     if len(parts) != n:
         raise ConfigError(f"{key} needs {n} '|'-separated profiles, got {len(parts)} in {text!r}")
     with _keyed(key):
-        return np.stack([_profile_values(p, grid) for p in parts])
+        u0 = np.stack([_profile_values(p, grid) for p in parts])
+    if np.any(u0 < 0.0):
+        raise ConfigError(f"{key}: initial states must be componentwise nonnegative, got {text!r}")
+    return u0
 
 
 def _build_reaction(cfg: ExperimentConfig, n: int):
@@ -426,7 +431,6 @@ def _cmd_wrap_rates(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namesp
     alpha = cfg.getfloat("schedule", "alpha", default=2.0, minimum=1.0)
     beta = cfg.getfloat("schedule", "beta", default=1.0, minimum=0.0)
     gamma = cfg.getfloat("schedule", "gamma", default=0.5, minimum=0.0)
-    levels = _parse_levels("schedule.levels", cfg.get("schedule", "levels", "4,8,16,32,64"))
     with _keyed("schedule.gamma"):
         sched = WrapperSchedule(alpha=alpha, beta=beta, gamma=gamma)
 
@@ -437,8 +441,12 @@ def _cmd_wrap_rates(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namesp
             "cubic-shift", 1, lambda u, m=m: -(u ** 2) * (1.0 - u) + 1.0 / m
         )
 
-    study = rate_preservation_study(target, family, sched, [0.0], [1.0],
-                                    levels, seed=args.seed)
+    # the study rejects fewer than three levels, which is a config error here
+    with _keyed("schedule.levels"):
+        levels = check_levels(
+            _parse_levels("schedule.levels", cfg.get("schedule", "levels", "4,8,16,32,64")))
+        study = rate_preservation_study(target, family, sched, [0.0], [1.0],
+                                        levels, seed=args.seed)
     out.write_csv("rates.csv", ["m", "eps", "sup_raw", "sup_wrapped", "fitted_slope"],
                   study.rows())
     out.finish()
@@ -501,10 +509,9 @@ def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) 
     u0s = np.stack([_initial_state(traj, "domain.initials", grid, n)
                     for traj in cfg.require("domain", "initials").split(";")])
 
-    levels_key = "--levels" if args.levels else "schedule.levels"
-    with _keyed(levels_key):
+    with _keyed("schedule.levels"):
         levels = check_levels(
-            _parse_levels(levels_key, args.levels or cfg.get("schedule", "levels", "1,2,3")))
+            _parse_levels("schedule.levels", cfg.get("schedule", "levels", "1,2,3")))
     # each value's own range is checked as it is read, and named by its key;
     # what make_schedule rejects is a combination of them
     alpha = cfg.getfloat("schedule", "alpha", minimum=1.0)
@@ -515,26 +522,29 @@ def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) 
     with _keyed("schedule"):
         scheds = make_schedule(alpha, beta, gamma, levels=levels, **prefactors)
 
+    # a per-level list has one entry per level of schedule.levels: kind -> (key, operator field)
+    per_level = {"subsample": ("strides", "stride"), "fourier": ("modes", "modes")}
     kind = cfg.get("measurement", "kind", "full")
-    if kind == "subsample":
-        strides = cfg.getints("measurement", "strides")
-        if len(strides) != len(levels):
-            raise ConfigError(
-                f"measurement.strides needs one entry per level, got {strides}"
-            )
-        ops = [MeasurementOperator("subsample", stride=s) for s in strides]
-    elif kind == "full":
+    if kind == "full":
         ops = [MeasurementOperator() for _ in levels]
-    elif kind == "fourier":
-        modes = cfg.getints("measurement", "modes")
-        if len(modes) != len(levels):
-            raise ConfigError(f"measurement.modes needs one entry per level, got {modes}")
-        ops = [MeasurementOperator("fourier", modes=k) for k in modes]
-        with _keyed("measurement.modes"):
+    elif kind in per_level:
+        key, field = per_level[kind]
+        values = cfg.getints("measurement", key)
+        if len(values) != len(levels):
+            raise ConfigError(f"measurement.{key} needs one entry per level of "
+                              f"schedule.levels {levels}, got {values}")
+        with _keyed(f"measurement.{key}"):
+            ops = [MeasurementOperator(kind, **{field: v}) for v in values]
             for op in ops:
                 op.check_grid(grid)
     else:
         raise ConfigError(f"measurement.kind must be full, subsample or fourier, got {kind!r}")
+    if args.levels:  # --levels picks levels of schedule.levels
+        with _keyed("--levels"):
+            picked = check_levels(_parse_levels("--levels", args.levels))
+        if not set(picked) <= set(levels):
+            raise ConfigError(f"--levels: {picked} are not all levels of schedule.levels {levels}")
+        scheds, ops = zip(*[(s, op) for s, op in zip(scheds, ops) if s.m in picked])
 
     rows, results = identification_sweep(
         f_true, diffusion, u0s, grid, scheds, ops, widths,

@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from rdlearn._sampling import as_batch, as_box, as_weights, ball_radius, sup_sample
+from rdlearn._sampling import as_batch, as_box, as_weights, ball_radius, fitted_rate, sup_sample
 from rdlearn.reaction import ConsistencyConstants, MLPReaction, ReactionTerm, mass_growth_constants
 from rdlearn.transition import TransitionFunction, build_mollified_heaviside
 
@@ -210,19 +210,16 @@ class ConsistentReaction(ReactionTerm):
         L, label = self._lip
         return mass_growth_constants(self.base.eval(np.zeros(self.n_species)), L, label, c)
 
-    def local_lipschitz(self, M: float) -> float | None:
-        """Certified Lipschitz profile of the wrapped term on a ball."""
+    def lipschitz_bound(self, lo=None, hi=None):
+        """Certified bound on the box [lo, hi], from the origin ball of radius
+        M that holds it: (L M + max_n |f_n(0)|) sup|chi'| + 2 L. None without
+        a box or without a bound L of the base term."""
         L = self._lip[0]
-        if L is None:
+        if lo is None or hi is None or L is None:
             return None
+        M = ball_radius(*as_box(lo, hi, self.n_species))
         beta_max = float(np.max(np.abs(self.base.eval(np.zeros(self.n_species)))))
         return (L * M + beta_max) * self.chi.slope_bound + 2.0 * L
-
-    def lipschitz_bound(self, lo=None, hi=None):
-        """Local certified bound on a box (via the ball containing it)."""
-        if lo is None or hi is None or self._lip[0] is None:
-            return None
-        return self.local_lipschitz(ball_radius(*as_box(lo, hi, self.n_species)))
 
     def __repr__(self):
         return f"ConsistentReaction(base={self.base!r}, chi={self.chi!r})"
@@ -300,16 +297,6 @@ class RateStudy:
                    self.fitted_slope)
 
 
-def _fitted_rate(x, y) -> float | None:
-    """Least-squares slope of log y against log x over the entries with y
-    above 1e-14, or None when fewer than two are left to fit."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    keep = y > 1e-14
-    if np.count_nonzero(keep) < 2:
-        return None
-    return float(np.polyfit(np.log(x[keep]), np.log(y[keep]), 1)[0])
-
-
 def _sup_error(a: ReactionTerm, b: ReactionTerm, points) -> float:
     return float(np.max(np.abs(a.eval(points) - b.eval(points))))
 
@@ -336,7 +323,7 @@ def rate_preservation_study(f_target: ReactionTerm, approx_family,
         fm = approx_family(m)
         raw[i] = _sup_error(f_target, fm, points)
         wrapped[i] = _sup_error(f_target, wrap(fm, build_mollified_heaviside(eps[i])), points)
-    slope = _fitted_rate(levels, wrapped)
+    slope = fitted_rate(levels, wrapped)
     if slope is None:
         raise ValueError("wrapped sup errors below floor at all levels; nothing to fit")
     return RateStudy(np.array(levels), eps, raw, wrapped, slope)
@@ -371,5 +358,5 @@ def strict_rate_estimate(f: ReactionTerm, lo, hi, component: int,
             continue
         pts = sup_sample(clo, chi_, seed=seed)
         sups.append(float(np.max(-np.minimum(f.eval(pts)[:, n], 0.0))))
-    rate = _fitted_rate(eps_list, sups)
+    rate = fitted_rate(eps_list, sups)
     return math.inf if rate is None else rate

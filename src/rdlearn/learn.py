@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from rdlearn._sampling import as_box, as_tuple, box_quadrature, halton_box, trapezoid_weights
+from rdlearn._sampling import as_box, as_tuple, box_quadrature, halton_box, split, trapezoid_weights
 from rdlearn.consistency import ConsistentReaction, Cutoffs, WrapperSchedule, wrap
 from rdlearn.rdsolve import (D_MIN, DiffusionSpec, SpaceTimeGrid, StateField, mirror_laplacian,
                               mirror_laplacian_transpose, solve)
@@ -69,7 +68,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 # measurement operators
 
 
-@lru_cache(maxsize=8)
 def _cosine_basis(grid: SpaceTimeGrid, modes: int) -> np.ndarray:
     x = grid.axis(0)
     j = np.arange(modes)
@@ -317,31 +315,27 @@ class AllAtOnceProblem:
         L, N = self.n_traj, self.n_species
         self._shapes = ((L, N), (L, N, K + 1, M), (L, N, M),
                         (MLPReaction.parameter_count(self.widths),))
-        self._sizes = [int(np.prod(s)) for s in self._shapes]
 
     # ------------------------------------------------------------- packing
 
     @property
     def n_variables(self) -> int:
-        return sum(self._sizes)
+        return sum(math.prod(s) for s in self._shapes)
 
     def pack(self, D, u, u0, theta) -> np.ndarray:
-        parts = [np.asarray(a, dtype=float).reshape(-1)
-                 for a in (D, u, u0, theta)]
-        for part, size in zip(parts, self._sizes):
-            if part.size != size:
-                raise ValueError(f"variable block of size {part.size}, expected {size}")
-        return np.concatenate(parts)
+        x = np.empty(self.n_variables)
+        for block, a in zip(split(x, self._shapes), (D, u, u0, theta)):
+            if np.size(a) != block.size:
+                raise ValueError(f"variable block of size {np.size(a)}, expected {block.size}")
+            block[...] = np.reshape(a, block.shape)
+        return x
 
     def unpack(self, x: np.ndarray):
+        """(D, u, u0, theta): views of the packed x, which write through to it."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_variables,):
             raise ValueError(f"expected {self.n_variables} packed variables, got {x.shape}")
-        out, start = [], 0
-        for shape, size in zip(self._shapes, self._sizes):
-            out.append(x[start:start + size].reshape(shape))
-            start += size
-        return tuple(out)
+        return tuple(split(x, self._shapes))
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """The packed point projected onto the feasible set: D onto
@@ -425,6 +419,7 @@ class AllAtOnceProblem:
         w, tw = self._w, self._tw
         l2_pts, l2_w, sup_pts = self._l2_pts, self._l2_w, self._sup_pts
         operator = self.operator
+        shapes = self._shapes
         fbar = self.reaction(theta)
         terms = {}
 
@@ -470,12 +465,10 @@ class AllAtOnceProblem:
                 raise FloatingPointError(f"objective term '{name}' is not finite")
 
         def reverse() -> np.ndarray:
-            # sums start from +0.0, so an entry whose first term is -0.0
-            # comes out +0.0
-            gD = np.zeros_like(D)
-            gu = np.zeros_like(u)
-            gu0 = np.zeros_like(u0)
-            gth = np.zeros_like(theta)
+            # each block is a view of one zeroed packed gradient; sums start
+            # from +0.0, so an entry whose first term is -0.0 comes out +0.0
+            grad = np.zeros(x.size)
+            gD, gu, gu0, gth = split(grad, shapes)
 
             gD += 2.0 * D
             gu += 2.0 * tw[None, None, :, None] * u * w
@@ -505,7 +498,7 @@ class AllAtOnceProblem:
             gy = sched.mu * 2.0 * dmis
             gu += operator.adjoint(gy, grid)
 
-            return np.concatenate([g.reshape(-1) for g in (gD, gu, gu0, gth)])
+            return grad
 
         self._last = (x, terms, reverse)
         return terms, reverse

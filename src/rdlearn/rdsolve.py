@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from rdlearn._sampling import as_tuple, as_weights, trapezoid_weights
+from rdlearn._sampling import as_tuple, as_weights, fitted_rate, trapezoid_weights
 
 D_MIN = 1e-6  # the positive floor of every diffusion coefficient
 
@@ -428,7 +428,7 @@ def manufactured_convergence(diffusion: float = 0.7, extent: float = 1.0,
         """(spacings, final errors, log-log order) over the grids, solved in order."""
         spacings = np.array(spacings)
         errors = np.array([final_error(g) for g in grids])
-        return spacings, errors, float(np.polyfit(np.log(spacings), np.log(errors), 1)[0])
+        return spacings, errors, fitted_rate(spacings, errors)
 
     spatial = [SpaceTimeGrid(Lx, nodes, horizon,
                              max(4, int(round(horizon * (nodes - 1) ** 2 / Lx ** 2))))

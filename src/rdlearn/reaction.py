@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rdlearn._sampling import as_batch, as_box, as_weights, ball_radius, halton_box
+from rdlearn._sampling import as_batch, as_box, as_weights, ball_radius, halton_box, split
 
 
 def _product(W, a):
@@ -236,15 +236,10 @@ class MLPReaction(ReactionTerm):
         return sum((widths[i] + 1) * widths[i + 1] for i in range(len(widths) - 1))
 
     def _unpack(self, theta):
-        layers = []
-        off = 0
-        for n_in, n_out in zip(self.widths[:-1], self.widths[1:]):
-            W = theta[off:off + n_in * n_out].reshape(n_out, n_in)
-            off += n_in * n_out
-            b = theta[off:off + n_out]
-            off += n_out
-            layers.append((W, b))
-        return layers
+        """Views (W (n_out, n_in), b (n_out,)) of a parameter-sized vector, per layer."""
+        views = split(theta, [s for n_in, n_out in zip(self.widths, self.widths[1:])
+                              for s in ((n_out, n_in), (n_out,))])
+        return list(zip(views[::2], views[1::2]))
 
     @classmethod
     def from_seed(cls, widths, seed, scale=1.0):
@@ -325,18 +320,18 @@ class MLPReaction(ReactionTerm):
         points-last, (width, S), like the tape.
         """
         _, acts = tape
-        gW = [None] * len(self._layers)
-        gb = [None] * len(self._layers)
+        theta_grad = np.zeros(self.theta.size)
+        grads = self._unpack(theta_grad)
         delta = cotangent.T
         for i in reversed(range(len(self._layers))):
-            W, _ = self._layers[i]
-            gW[i] = delta @ acts[i].T
-            gb[i] = delta.sum(axis=1)
+            (W, _), (gW, gb) = self._layers[i], grads[i]
+            gW[...] = delta @ acts[i].T
+            gb[...] = delta.sum(axis=1)
             if i > 0:
                 delta = _times_product(_tanh_slope(acts[i]), W.T, delta)
             else:
                 delta = _product(W.T, delta)
-        return self._pack(gW, gb), delta.T
+        return theta_grad, delta.T
 
     def jac_vjp(self, cot_jac, cot_val, state):
         """Reverse pass through value and Jacobian simultaneously.
@@ -352,16 +347,15 @@ class MLPReaction(ReactionTerm):
         S, N = cot_val.shape
         z_hat = cot_val.T
         _, acts, _, A_list, Z_list = state
-        L = len(self._layers)
-        gW = [None] * L
-        gb = [None] * L
+        theta_grad = np.zeros(self.theta.size)
+        grads = self._unpack(theta_grad)
         Z_hat = np.moveaxis(cot_jac, 0, -1)
-        for i in reversed(range(L)):
-            W, _ = self._layers[i]
+        for i in reversed(range(len(self._layers))):
+            (W, _), (gW, gb) = self._layers[i], grads[i]
             n_out, n_in = W.shape
             Z_flat = Z_hat.reshape(n_out, -1)
-            gW[i] = z_hat @ acts[i].T + Z_flat @ A_list[i].reshape(n_in, -1).T
-            gb[i] = z_hat.sum(axis=1)
+            gW[...] = z_hat @ acts[i].T + Z_flat @ A_list[i].reshape(n_in, -1).T
+            gb[...] = z_hat.sum(axis=1)
             if i > 0:
                 a_hat = _product(W.T, z_hat)
                 A_hat = _product(W.T, Z_flat).reshape(n_in, N, S)
@@ -369,14 +363,7 @@ class MLPReaction(ReactionTerm):
                 s = _tanh_slope(a_i)
                 z_hat = a_hat * s + np.sum(A_hat * Z_list[i - 1], axis=1) * (-2.0 * a_i * s)
                 Z_hat = s[:, None, :] * A_hat
-        return self._pack(gW, gb)
-
-    def _pack(self, gW, gb):
-        parts = []
-        for W_g, b_g in zip(gW, gb):
-            parts.append(W_g.ravel())
-            parts.append(b_g)
-        return np.concatenate(parts)
+        return theta_grad
 
     def lipschitz_bound(self, lo=None, hi=None) -> float:
         """Certified global bound: product of layer spectral norms."""

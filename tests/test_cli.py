@@ -245,12 +245,37 @@ BAD_WEIGHTS_CFG = SIM_CFG.replace("diffusion = 0.05", "diffusion = 0.05\nweights
     ("learn", LEARN_CFG.replace("kind = subsample\nstrides = 4,2,1",
                                 "kind = fourier\nmodes = 3,5,40"),
      "config error: measurement.modes: modes = 40 exceeds the grid's 21 nodes"),
+    ("learn", LEARN_CFG.replace("strides = 4,2,1", "strides = 0,2,1"),
+     "config error: measurement.strides: stride must be a positive integer, got 0"),
+    ("learn", LEARN_CFG.replace("kind = subsample\nstrides = 4,2,1",
+                                "kind = fourier\nmodes = 0,3,3"),
+     "config error: measurement.modes: fourier operators need modes >= 1"),
+    ("learn", LEARN_CFG.replace("strides = 4,2,1", "strides = 2"),
+     "config error: measurement.strides needs one entry per level of schedule.levels "
+     "[1, 2, 3], got [2]"),
+    ("learn --levels 4", LEARN_CFG,
+     "config error: --levels: [4] are not all levels of schedule.levels [1, 2, 3]"),
+    ("simulate", SIM_CFG.replace("cosine:0.5,0.4,1", "cosine:0.2,0.4,1"),
+     "config error: domain.initial: initial states must be componentwise nonnegative"),
+    ("learn", LEARN_CFG.replace("constant:0.4", "constant:-0.05"),
+     "config error: domain.initials: initial states must be componentwise nonnegative"),
+    ("wrap-rates", "[schedule]\nlevels = 4,8\n",
+     "config error: schedule.levels: need at least 3 levels for a rate fit, got 2"),
+    ("wrap-rates", "[schedule]\nlevels = 0,4,8\n",
+     "config error: schedule.levels: levels start at 1"),
+    ("wrap-rates", "[schedule]\nlevels = 8,4,2\n",
+     "config error: schedule.levels: levels must be strictly increasing"),
+    ("simulate", SIM_CFG.replace("extent = 2.0", "extent = -1.0"),
+     "config error: domain.extent must be positive, got [-1.0]"),
 ], ids=["diffusion", "weights-simulate", "weights-check", "delta", "diffusion-learn", "kind",
         "levels-order-option", "levels-start-option", "levels-order-config",
         "levels-start-config", "lam0", "q", "noise", "diffusion-floor", "widths-positive",
         "gamma-beta", "initials", "levels-wrap-rates", "profile-simulate", "profile-learn",
         "wrapper-without-reaction", "profile-inf", "steps-inf", "diffusion-nan",
-        "fourier-modes-above-nodes"])
+        "fourier-modes-above-nodes", "strides-positive", "fourier-modes-positive",
+        "strides-per-level", "levels-option-outside-config", "profile-negative-simulate",
+        "profile-negative-learn", "levels-wrap-rates-count", "levels-wrap-rates-start",
+        "levels-wrap-rates-order", "extent-negative"])
 def test_inconsistent_values_exit_2_and_name_the_key(command, text, named, tmp_path, capsys):
     cfg = write(tmp_path, text)
     code = main(command.split() + ["--config", cfg, "--out", str(tmp_path / "o")])
@@ -419,7 +444,7 @@ def test_special_floats_format_as_17_significant_digits(value):
 
 def test_output_files_follow_the_umask(tmp_path):
     sim = write(tmp_path, SIM_CFG)
-    learn = write(tmp_path, LEARN_CFG.replace("strides = 4,2,1", "strides = 2"), "learn.cfg")
+    learn = write(tmp_path, LEARN_CFG, "learn.cfg")
     old = os.umask(0o022)
     try:
         assert main(["simulate", "--config", sim, "--out", str(tmp_path / "sim")]) == 0
@@ -442,7 +467,7 @@ def test_a_failed_params_write_leaves_no_partial_file(tmp_path, monkeypatch, cap
         raise OSError("disk full")
 
     monkeypatch.setattr("rdlearn.cli.save_params", failing)
-    cfg = write(tmp_path, LEARN_CFG.replace("strides = 4,2,1", "strides = 2"))
+    cfg = write(tmp_path, LEARN_CFG)
     out = tmp_path / "o"
     assert main(["learn", "--config", cfg, "--out", str(out), "--levels", "2"]) == 1
     assert capsys.readouterr().err == "error: disk full\n"
@@ -453,7 +478,7 @@ def test_a_failed_rerun_leaves_no_stale_manifest(tmp_path, monkeypatch, capsys):
     """A rerun into an existing output directory removes the previous
     manifest before it writes, so when it fails after rewriting
     results.csv no manifest is left whose hashes disagree with the files."""
-    cfg = write(tmp_path, LEARN_CFG.replace("strides = 4,2,1", "strides = 2"))
+    cfg = write(tmp_path, LEARN_CFG)
     out = tmp_path / "o"
     argv = ["learn", "--config", cfg, "--out", str(out), "--levels", "2"]
     assert main(argv) == 0
@@ -561,7 +586,7 @@ def test_check_states_what_it_skipped(box, rows, said, tmp_path, capsys):
 
 
 def test_learn_levels_flag_overrides_config(tmp_path):
-    cfg = write(tmp_path, LEARN_CFG.replace("strides = 4,2,1", "strides = 2"))
+    cfg = write(tmp_path, LEARN_CFG)
     out = str(tmp_path / "o")
     assert main(["learn", "--config", cfg, "--out", out, "--levels", "2"]) == 0
     with open(os.path.join(out, "results.csv")) as fh:
@@ -574,6 +599,19 @@ def test_learn_levels_flag_overrides_config(tmp_path):
         head = fh.read().splitlines()[:8]
     assert "# level: 2" in head
     assert "# widths: 1,4,1" in head
+
+
+def test_learn_levels_flag_runs_a_level_as_the_full_sweep_does(tmp_path):
+    """A level's inputs depend only on m: --levels 2 picks level 2 of
+    schedule.levels and its stride, and writes the full sweep's level-2 row
+    and parameter file, byte for byte."""
+    cfg = write(tmp_path, LEARN_CFG)
+    full, one = tmp_path / "full", tmp_path / "one"
+    assert main(["learn", "--config", cfg, "--out", str(full)]) == 0
+    assert main(["learn", "--config", cfg, "--out", str(one), "--levels", "2"]) == 0
+    header, *rows = (full / "results.csv").read_text().splitlines()
+    assert (one / "results.csv").read_text().splitlines() == [header, rows[1]]
+    assert (one / "params_m2.txt").read_bytes() == (full / "params_m2.txt").read_bytes()
 
 
 def test_learn_says_why_each_level_stopped(tmp_path, capsys):

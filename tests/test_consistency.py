@@ -394,16 +394,18 @@ def test_constants_without_a_lipschitz_bound_are_unavailable():
 
 
 def test_local_lipschitz_profile():
+    """The box bound on boxes held by origin balls of radius M: 2 for the
+    corner (1.2, 1.6), 1 for [-1, 1]."""
     mlp = MLPReaction.from_seed((2, 8, 2), seed=2)
     chi = build_mollified_heaviside(0.2)
     g = wrap(mlp, chi)
     L = mlp.lipschitz_bound()
     M = 2.0
     expected = L * M * chi.slope_bound + 2.0 * L  # f(0) = 0 here
-    assert g.local_lipschitz(M) == pytest.approx(expected, rel=1e-12)
+    assert g.lipschitz_bound([-1.2, -1.6], [1.2, 1.6]) == pytest.approx(expected, rel=1e-12)
     lo, hi = [-1.0, -1.0], [1.0, 1.0]
     assert g.sampled_lipschitz(lo, hi, samples=2000) <= g.lipschitz_bound(lo, hi)
-    assert wrap(make_reaction("fisher-kpp"), chi).local_lipschitz(1.0) is None
+    assert wrap(make_reaction("fisher-kpp"), chi).lipschitz_bound([-1.0], [1.0]) is None
 
 
 def test_box_ball_radius_is_the_norm_of_the_farthest_corner():
@@ -412,7 +414,8 @@ def test_box_ball_radius_is_the_norm_of_the_farthest_corner():
     (-3, 5) at sqrt(34), beyond both |lo| = 3 and |hi| = 5.02."""
     g = wrap(MLPReaction.from_seed((2, 8, 2), seed=2), build_mollified_heaviside(0.2))
     lo, hi = [-3.0, 0.0], [0.5, 5.0]
-    assert g.lipschitz_bound(lo, hi) == g.local_lipschitz(math.sqrt(34.0))
+    L, slope = g.base.lipschitz_bound(), g.chi.slope_bound
+    assert g.lipschitz_bound(lo, hi) == L * math.sqrt(34.0) * slope + 2.0 * L  # f(0) = 0
     assert check_conditions(g, lo, hi, samples=200).ball_radius == math.sqrt(34.0)
 
 
