@@ -438,7 +438,7 @@ def _cmd_wrap_rates(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namesp
 
     def family(m):
         return AnalyticReaction(
-            "cubic-shift", 1, lambda u, m=m: -(u ** 2) * (1.0 - u) + 1.0 / m
+            "cubic-shift", 1, lambda u: -(u ** 2) * (1.0 - u) + 1.0 / m
         )
 
     # the study rejects fewer than three levels, which is a config error here
@@ -525,9 +525,15 @@ def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) 
     # a per-level list has one entry per level of schedule.levels: kind -> (key, operator field)
     per_level = {"subsample": ("strides", "stride"), "fourier": ("modes", "modes")}
     kind = cfg.get("measurement", "kind", "full")
+    if kind != "full" and kind not in per_level:
+        raise ConfigError(f"measurement.kind must be full, subsample or fourier, got {kind!r}")
+    for reader, (key, _) in per_level.items():
+        if reader != kind and cfg.get("measurement", key) is not None:
+            raise ConfigError(f"measurement.{key} is read only under measurement.kind = "
+                              f"{reader}, got kind = {kind}")
     if kind == "full":
         ops = [MeasurementOperator() for _ in levels]
-    elif kind in per_level:
+    else:
         key, field = per_level[kind]
         values = cfg.getints("measurement", key)
         if len(values) != len(levels):
@@ -537,8 +543,6 @@ def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) 
             ops = [MeasurementOperator(kind, **{field: v}) for v in values]
             for op in ops:
                 op.check_grid(grid)
-    else:
-        raise ConfigError(f"measurement.kind must be full, subsample or fourier, got {kind!r}")
     if args.levels:  # --levels picks levels of schedule.levels
         with _keyed("--levels"):
             picked = check_levels(_parse_levels("--levels", args.levels))

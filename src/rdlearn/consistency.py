@@ -297,10 +297,6 @@ class RateStudy:
                    self.fitted_slope)
 
 
-def _sup_error(a: ReactionTerm, b: ReactionTerm, points) -> float:
-    return float(np.max(np.abs(a.eval(points) - b.eval(points))))
-
-
 def rate_preservation_study(f_target: ReactionTerm, approx_family,
                             sched: WrapperSchedule, lo, hi, levels,
                             seed: int = 0) -> RateStudy:
@@ -316,13 +312,15 @@ def rate_preservation_study(f_target: ReactionTerm, approx_family,
         raise ValueError(f"need at least 3 levels for a rate fit, got {len(levels)}")
     lo, hi = as_box(lo, hi, f_target.n_species)
     points = sup_sample(lo, hi, seed=seed)
+    target = f_target.eval(points)
     eps = np.array([sched.eps(m) for m in levels])
     raw = np.empty(len(levels))
     wrapped = np.empty(len(levels))
     for i, m in enumerate(levels):
         fm = approx_family(m)
-        raw[i] = _sup_error(f_target, fm, points)
-        wrapped[i] = _sup_error(f_target, wrap(fm, build_mollified_heaviside(eps[i])), points)
+        raw[i] = np.max(np.abs(target - fm.eval(points)))
+        wrapped[i] = np.max(np.abs(
+            target - wrap(fm, build_mollified_heaviside(eps[i])).eval(points)))
     slope = fitted_rate(levels, wrapped)
     if slope is None:
         raise ValueError("wrapped sup errors below floor at all levels; nothing to fit")

@@ -245,6 +245,16 @@ def solve(f, D: DiffusionSpec, u0, grid: SpaceTimeGrid, c=None,
     The species count n is D's: u0 has shape (n, *grid.nodes), f (if
     given) n species, and u0 must be finite and componentwise nonnegative.
     """
+    c = as_weights(c, D.n_species)
+    values = np.empty((D.n_species, grid.steps + 1) + grid.nodes)
+    return StateField(values, grid, c, _march(f, D, u0, grid, source, lipschitz, values))
+
+
+def _march(f, D: DiffusionSpec, u0, grid: SpaceTimeGrid, source, lipschitz,
+           values: np.ndarray) -> np.ndarray:
+    """`solve`'s march: step k is written into values[:, k % R], R =
+    values.shape[1], so R = K + 1 keeps the trajectory and R = 2 the last
+    two states. Returns the species masses of every step, shape (n, K + 1)."""
     n = D.n_species
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (n,) + grid.nodes:
@@ -257,7 +267,6 @@ def solve(f, D: DiffusionSpec, u0, grid: SpaceTimeGrid, c=None,
         raise ValueError("u0 must be finite")
     if np.any(u0 < 0.0):
         raise ValueError("u0 must be componentwise nonnegative")
-    c = as_weights(c, n)
     # each state lies in [lo, hi]: the box the reaction bound holds on, or the finite floats
     hi = np.full((n, 1), np.finfo(float).max)
     lo = -hi
@@ -278,19 +287,19 @@ def solve(f, D: DiffusionSpec, u0, grid: SpaceTimeGrid, c=None,
 
     w = grid.quadrature_weights().ravel()
     K = grid.steps
-    traj = np.empty((n, K + 1) + grid.nodes)
-    traj[:, 0] = u0
+    R = values.shape[1]
+    values[:, 0] = u0
     species_mass = np.empty((n, K + 1))
     species_mass[:, 0] = (u0.reshape(n, -1) * w).sum(axis=1)
 
-    u = traj[:, 0]
+    u = values[:, 0]
     times = grid.times()
     # Overflow on the way to a blow-up is reported via BlowUpError below,
     # not as numpy warnings mid-flight.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K):
             # the right-hand side is assembled in place of the next state
-            new = traj[:, k + 1]
+            new = values[:, (k + 1) % R]
             new[...] = u
             if f is not None:
                 flat = u.reshape(n, -1).T
@@ -299,7 +308,7 @@ def solve(f, D: DiffusionSpec, u0, grid: SpaceTimeGrid, c=None,
                 new += dt * np.broadcast_to(source(times[k]), u.shape)
             for i in range(n):
                 if grid.ndim == 1:
-                    # a contiguous row of traj: solved in place
+                    # a contiguous row of values: solved in place
                     dgttrs(*factors[i][0], new[i], overwrite_b=True)
                 else:
                     half = dgttrs(*factors[i][0], new[i])[0]
@@ -318,7 +327,14 @@ def solve(f, D: DiffusionSpec, u0, grid: SpaceTimeGrid, c=None,
                                          f"certified on at {at}: {exc}", exc.suggested_dt) from None
             species_mass[:, k + 1] = (state * w).sum(axis=1)
             u = new
-    return StateField(traj, grid, c, species_mass)
+    return species_mass
+
+
+def _check_finite(**constants) -> None:
+    """Raise a ValueError naming the first constant that is not a finite number."""
+    for name, value in constants.items():
+        if not (isinstance(value, (int, float, np.number)) and np.isfinite(value)):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass
@@ -348,6 +364,7 @@ def mass_audit(traj: StateField, K0: float = 0.0, K1: float = 0.0,
                tol: float | None = None) -> MassAudit:
     """Check d/dt sum_n c_n int u_n <= K0 |Omega| + K1 sum_n int u_n per step,
     with the weights c the trajectory was solved with."""
+    _check_finite(K0=K0, K1=K1, tol=0.0 if tol is None else tol)
     volume = float(np.prod(traj.grid.extents))
     total = traj.species_mass.sum(axis=0)
     rate = np.diff(traj.masses) / traj.grid.dt
@@ -363,12 +380,17 @@ def estimate_mass_tolerance(f, D: DiffusionSpec, u0_builder, grid: SpaceTimeGrid
     copy, attributes the change in worst margin to the leading error model
     C * (h^2 + dt), and returns 4 C (h^2 + dt) for the coarse grid (at
     least 1e-10). u0_builder maps a grid to its initial state.
+
+    Each solve keeps only its last two states: the audit reads its masses.
     """
+    _check_finite(K0=K0, K1=K1)
     fine = grid.refined()
     worst = []
     scales = []
     for g in (grid, fine):
-        t = solve(f, D, u0_builder(g), g)
+        values = np.empty((D.n_species, 2) + g.nodes)
+        t = StateField(values, g, as_weights(None, D.n_species),
+                       _march(f, D, u0_builder(g), g, None, None, values))
         worst.append(mass_audit(t, K0=K0, K1=K1).worst)
         scales.append(max(g.h) ** 2 + g.dt)
     C = abs(worst[0] - worst[1]) / (scales[0] - scales[1])
@@ -406,33 +428,29 @@ def manufactured_convergence(diffusion: float = 0.7, extent: float = 1.0,
     times from 4 steps.
     """
     Lx = float(extent)
-
-    def exact(t, x):
-        return np.exp(-t) * (1.0 + np.cos(np.pi * x / Lx))
-
     D = DiffusionSpec.uniform(diffusion, 1)
     factor = np.pi / Lx
 
     def final_error(grid):
         """Max error at the horizon of the solve on grid, fed the matching source."""
         x = grid.axis(0)
+        profile = 1.0 + np.cos(np.pi * x / Lx)  # u*(t, x) = e^-t profile(x)
         cos = np.cos(factor * x)
 
         def source(t):
             return (np.exp(-t) * (-1.0 - cos + diffusion * factor ** 2 * cos))[None]
 
-        traj = solve(None, D, exact(0.0, x)[None], grid, source=source)
-        return np.max(np.abs(traj.values[0, -1] - exact(horizon, x)))
-
-    def study(grids, spacings):
-        """(spacings, final errors, log-log order) over the grids, solved in order."""
-        spacings = np.array(spacings)
-        errors = np.array([final_error(g) for g in grids])
-        return spacings, errors, fitted_rate(spacings, errors)
+        values = np.empty((1, 2) + grid.nodes)  # the last two states
+        _march(None, D, profile[None], grid, source, None, values)
+        return np.max(np.abs(values[0, grid.steps % 2] - np.exp(-horizon) * profile))
 
     spatial = [SpaceTimeGrid(Lx, nodes, horizon,
                              max(4, int(round(horizon * (nodes - 1) ** 2 / Lx ** 2))))
                for nodes in (8 * 2 ** level + 1 for level in range(4))]
     temporal = [SpaceTimeGrid(Lx, 257, horizon, 4 * 2 ** level) for level in range(4)]
-    return ConvergenceStudy(*study(spatial, [g.h[0] for g in spatial]),
-                            *study(temporal, [g.dt for g in temporal]))
+    h = np.array([g.h[0] for g in spatial])
+    dt = np.array([g.dt for g in temporal])
+    h_errors, dt_errors = (np.array([final_error(g) for g in grids])
+                           for grids in (spatial, temporal))
+    return ConvergenceStudy(h, h_errors, fitted_rate(h, h_errors),
+                            dt, dt_errors, fitted_rate(dt, dt_errors))

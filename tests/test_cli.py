@@ -267,6 +267,15 @@ BAD_WEIGHTS_CFG = SIM_CFG.replace("diffusion = 0.05", "diffusion = 0.05\nweights
      "config error: schedule.levels: levels must be strictly increasing"),
     ("simulate", SIM_CFG.replace("extent = 2.0", "extent = -1.0"),
      "config error: domain.extent must be positive, got [-1.0]"),
+    ("learn", LEARN_CFG.replace("kind = subsample", "kind = full"),
+     "config error: measurement.strides is read only under measurement.kind = subsample, "
+     "got kind = full"),
+    ("learn", LEARN_CFG.replace("strides = 4,2,1", "strides = 4,2,1\nmodes = 3,5,7"),
+     "config error: measurement.modes is read only under measurement.kind = fourier, "
+     "got kind = subsample"),
+    ("learn", LEARN_CFG.replace("kind = subsample", "kind = fourier\nmodes = 3,5,7"),
+     "config error: measurement.strides is read only under measurement.kind = subsample, "
+     "got kind = fourier"),
 ], ids=["diffusion", "weights-simulate", "weights-check", "delta", "diffusion-learn", "kind",
         "levels-order-option", "levels-start-option", "levels-order-config",
         "levels-start-config", "lam0", "q", "noise", "diffusion-floor", "widths-positive",
@@ -275,7 +284,8 @@ BAD_WEIGHTS_CFG = SIM_CFG.replace("diffusion = 0.05", "diffusion = 0.05\nweights
         "fourier-modes-above-nodes", "strides-positive", "fourier-modes-positive",
         "strides-per-level", "levels-option-outside-config", "profile-negative-simulate",
         "profile-negative-learn", "levels-wrap-rates-count", "levels-wrap-rates-start",
-        "levels-wrap-rates-order", "extent-negative"])
+        "levels-wrap-rates-order", "extent-negative", "strides-under-full",
+        "modes-under-subsample", "strides-under-fourier"])
 def test_inconsistent_values_exit_2_and_name_the_key(command, text, named, tmp_path, capsys):
     cfg = write(tmp_path, text)
     code = main(command.split() + ["--config", cfg, "--out", str(tmp_path / "o")])

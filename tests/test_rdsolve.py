@@ -1,5 +1,7 @@
 """Solver tests: conservation identities, convergence orders, guard rails."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -258,12 +260,22 @@ def test_guard_uses_explicit_override():
     solve(fisher, DiffusionSpec.uniform(0.05, 1), cosine_profile(g), g, lipschitz=3.0)
 
 
+def box_leaving_problem():
+    """(f, D, u0, grid): f = tanh(u) + 1 wrapped grows the state out of the
+    box u0 +- 1 its bound is certified on, and dt fits that first box only."""
+    f = wrap(MLPReaction((1, 1, 1), [1.0, 0.0, 1.0, 1.0]), build_mollified_heaviside(0.2))
+    steps = int(np.ceil(2.0 * f.lipschitz_bound([-1.0], [1.5]) / 0.5))
+    grid = SpaceTimeGrid(1.0, 11, 2.0, steps)
+    return f, DiffusionSpec.uniform(0.1, 1), np.full((1, 11), 0.5), grid
+
+
 def test_state_leaving_its_box_is_certified_again():
     """f = tanh(u) + 1 grows the state out of the box u0 +- 1 that the
     wrapped network's bound is certified on. The solver certifies the bound
     again on each grown box; when dt is too large for a grown box it raises
     StabilityError at the step that left."""
-    f = wrap(MLPReaction((1, 1, 1), [1.0, 0.0, 1.0, 1.0]), build_mollified_heaviside(0.2))
+    f, D, u0, g = box_leaving_problem()
+    steps = g.steps
     boxes = []
     certify = f.lipschitz_bound
 
@@ -273,10 +285,6 @@ def test_state_leaving_its_box_is_certified_again():
         return certify(lo, hi)
 
     f.lipschitz_bound = spy
-    D = DiffusionSpec.uniform(0.1, 1)
-    u0 = np.full((1, 11), 0.5)
-    steps = int(np.ceil(2.0 * certify([-1.0], [1.5]) / 0.5))  # fits the first box only
-    g = SpaceTimeGrid(1.0, 11, 2.0, steps)
     top = solve(f, D, u0, g, lipschitz=0.0).values[0].max(axis=1)
     left = int(np.argmax(top > 1.5))
     assert left > 0
@@ -406,32 +414,124 @@ def test_audit_requires_tolerance_for_passed():
         audit.passed
 
 
+def network_builder(g):
+    """Two random cosine profiles, the same on every grid."""
+    x = g.axis(0)
+    rng = np.random.default_rng(5)
+    rows = []
+    for _ in range(2):
+        a = rng.uniform(0.2, 0.8)
+        b = rng.uniform(0.1, 0.4)
+        k = rng.integers(1, 4)
+        rows.append(a + b * np.cos(k * np.pi * x / g.extents[0]))
+    return np.array(rows)
+
+
+def network_problem():
+    """(wrapped, D, grid): a wrapped random (2,16,2) network on a 100x500 grid."""
+    chi = build_mollified_heaviside(0.25)
+    wrapped = wrap(MLPReaction.from_seed((2, 16, 2), seed=3, scale=1.0), chi)
+    return wrapped, DiffusionSpec.uniform(0.1, 2), SpaceTimeGrid(2.0, 100, 1.0, 500)
+
+
 def test_wrapped_network_passes_certified_audit():
     """The wrapper's certified constants bound the discrete mass growth of
     a simulated two-species network once discretization slack is added."""
-    chi = build_mollified_heaviside(0.25)
-    wrapped = wrap(MLPReaction.from_seed((2, 16, 2), seed=3, scale=1.0), chi)
+    wrapped, D, g = network_problem()
     cc = wrapped.consistency_constants()
-    D = DiffusionSpec.uniform(0.1, 2)
-
-    def u0_builder(g):
-        x = g.axis(0)
-        rng = np.random.default_rng(5)
-        rows = []
-        for _ in range(2):
-            a = rng.uniform(0.2, 0.8)
-            b = rng.uniform(0.1, 0.4)
-            k = rng.integers(1, 4)
-            rows.append(a + b * np.cos(k * np.pi * x / g.extents[0]))
-        return np.array(rows)
-
-    g = SpaceTimeGrid(2.0, 100, 1.0, 500)
-    traj = solve(wrapped, D, u0_builder(g), g)
+    traj = solve(wrapped, D, network_builder(g), g)
     assert traj.min_value >= -1e-8
-    tol = estimate_mass_tolerance(wrapped, D, u0_builder, g, K0=cc.K0, K1=cc.K1)
+    tol = estimate_mass_tolerance(wrapped, D, network_builder, g, K0=cc.K0, K1=cc.K1)
     audit = mass_audit(traj, K0=cc.K0, K1=cc.K1, tol=tol)
     assert tol > 0
     assert audit.passed
+
+
+def reference_tolerance(f, D, u0_builder, grid, K0, K1):
+    """The docstring's formula over two full solves and their audits."""
+    worst, scales = [], []
+    for g in (grid, grid.refined()):
+        worst.append(mass_audit(solve(f, D, u0_builder(g), g), K0=K0, K1=K1).worst)
+        scales.append(max(g.h) ** 2 + g.dt)
+    C = abs(worst[0] - worst[1]) / (scales[0] - scales[1])
+    return max(4.0 * C * scales[0], 1e-10)
+
+
+def tolerance_problems():
+    """(f, D, u0_builder, grid, K0, K1): a wrapped network, wrapped
+    Fisher-KPP, and wrapped Gray-Scott on a small 2D grid."""
+    wrapped, D, g = network_problem()
+    cc = wrapped.consistency_constants()
+    yield wrapped, D, network_builder, SpaceTimeGrid(2.0, 40, 1.0, 200), cc.K0, cc.K1
+    fisher = wrap(make_reaction("fisher-kpp"), build_mollified_heaviside(0.2), lipschitz=3.0)
+    yield (fisher, DiffusionSpec.uniform(0.05, 1), cosine_profile,
+           SpaceTimeGrid(2.0, 61, 1.0, 240), 0.0, 1.0)
+
+    def gray_scott_builder(g):
+        a, b = np.meshgrid(g.axis(0), g.axis(1), indexing="ij")
+        return np.stack([0.6 + 0.2 * np.cos(np.pi * a), 0.2 + 0.1 * np.cos(np.pi * b)])
+
+    gs = wrap(make_reaction("gray-scott"), build_mollified_heaviside(0.2))
+    yield (gs, DiffusionSpec((0.01, 0.005)), gray_scott_builder,
+           SpaceTimeGrid((1.0, 1.5), (9, 11), 0.2, 20), 0.1, 0.2)
+
+
+@pytest.mark.parametrize("case", range(3), ids=["network-1d", "fisher-1d", "gray-scott-2d"])
+def test_mass_tolerance_equals_two_full_solves_bitwise(case):
+    """Keeping two states instead of the trajectory changes no bit of the tolerance."""
+    f, D, u0_builder, g, K0, K1 = list(tolerance_problems())[case]
+    got = estimate_mass_tolerance(f, D, u0_builder, g, K0=K0, K1=K1)
+    assert got.hex() == reference_tolerance(f, D, u0_builder, g, K0, K1).hex()
+
+
+def test_mass_tolerance_keeps_less_than_one_coarse_trajectory():
+    """The tolerance marches keep two states each, so the peak of the whole
+    estimate stays below the bytes of one coarse trajectory."""
+    wrapped, D, g = network_problem()
+    cc = wrapped.consistency_constants()
+    estimate_mass_tolerance(wrapped, D, network_builder, g, K0=cc.K0, K1=cc.K1)  # warm caches
+    tracemalloc.start()
+    try:
+        estimate_mass_tolerance(wrapped, D, network_builder, g, K0=cc.K0, K1=cc.K1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    trajectory = 8 * D.n_species * (g.steps + 1) * g.nodes[0]
+    assert peak < trajectory, (peak, trajectory)
+
+
+def test_mass_tolerance_raises_what_solve_raises():
+    """A negative initial state and a state leaving its certified box fail
+    the tolerance's marches as they fail `solve`."""
+    wrapped, D, g = network_problem()
+    with pytest.raises(ValueError, match="componentwise nonnegative"):
+        estimate_mass_tolerance(wrapped, D, lambda grid: -network_builder(grid), g)
+    f, D, u0, g = box_leaving_problem()
+    top = solve(f, D, u0, g, lipschitz=0.0).values[0].max(axis=1)
+    left = int(np.argmax(top > 1.5))
+    with pytest.raises(StabilityError, match=f"certified on at step {left} "):
+        solve(f, D, u0, g)
+    with pytest.raises(StabilityError, match=f"certified on at step {left} "):
+        estimate_mass_tolerance(f, D, lambda grid: np.full((1,) + grid.nodes, 0.5), g)
+
+
+@pytest.mark.parametrize("name, value", [("K0", np.nan), ("K1", np.inf), ("K1", None)])
+def test_mass_tolerance_rejects_constants_that_are_not_finite(name, value):
+    fisher = wrap(make_reaction("fisher-kpp"), build_mollified_heaviside(0.2), lipschitz=3.0)
+    g = SpaceTimeGrid(2.0, 61, 1.0, 240)
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        estimate_mass_tolerance(fisher, DiffusionSpec.uniform(0.05, 1), cosine_profile, g,
+                                **{name: value})
+
+
+@pytest.mark.parametrize("name, value", [("K0", np.nan), ("K1", -np.inf), ("K1", None),
+                                         ("tol", np.nan), ("tol", np.inf)])
+def test_mass_audit_rejects_constants_that_are_not_finite(name, value):
+    g = SpaceTimeGrid(1.0, 11, 0.1, 5)
+    traj = solve(None, DiffusionSpec.uniform(1.0, 1), np.ones((1,) + g.nodes), g)
+    kwargs = {"K0": 0.0, "K1": 0.0, "tol": 1e-3, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        mass_audit(traj, **kwargs)
 
 
 # -------------------------------------------------------------- fields
