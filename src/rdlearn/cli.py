@@ -116,11 +116,9 @@ class ExperimentConfig:
         return value
 
     def getfloat(self, section, key, default=None, minimum=None) -> float:
-        raw = self.get(section, key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"missing required config key {section}.{key}")
+        if self.get(section, key) is None and default is not None:
             return float(default)
+        raw = self.require(section, key)
         try:
             value = float(raw)
         except ValueError:
@@ -138,11 +136,9 @@ class ExperimentConfig:
         return int(value)
 
     def getfloats(self, section, key, default=None) -> list:
-        raw = self.get(section, key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"missing required config key {section}.{key}")
+        if self.get(section, key) is None and default is not None:
             return list(default)
+        raw = self.require(section, key)
         try:
             values = [float(part) for part in raw.split(",")]
         except ValueError:
@@ -359,14 +355,17 @@ def _box(cfg: ExperimentConfig, default) -> list:
 
 
 def _parse_levels(key: str, text: str) -> list:
-    """Levels given as lo..hi or as a comma list; an error names `key`."""
+    """Levels given as lo..hi or as a comma list, checked by `check_levels`;
+    an error names `key`."""
     text = text.strip()
     lo, dots, hi = text.partition("..")
     try:
-        return list(range(int(lo), int(hi) + 1)) if dots else [int(p) for p in text.split(",")]
+        levels = list(range(int(lo), int(hi) + 1)) if dots else [int(p) for p in text.split(",")]
     except ValueError:
         what = "range must be int..int" if dots else "must be ints"
         raise ConfigError(f"{key}: levels {what}, got {text!r}") from None
+    with _keyed(key):
+        return check_levels(levels)
 
 
 # ---------------------------------------------------------------------------
@@ -441,14 +440,14 @@ def _cmd_wrap_rates(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namesp
             "cubic-shift", 1, lambda u: -(u ** 2) * (1.0 - u) + 1.0 / m
         )
 
+    levels = _parse_levels("schedule.levels", cfg.get("schedule", "levels", "4,8,16,32,64"))
     # the study rejects fewer than three levels, which is a config error here
     with _keyed("schedule.levels"):
-        levels = check_levels(
-            _parse_levels("schedule.levels", cfg.get("schedule", "levels", "4,8,16,32,64")))
         study = rate_preservation_study(target, family, sched, [0.0], [1.0],
                                         levels, seed=args.seed)
     out.write_csv("rates.csv", ["m", "eps", "sup_raw", "sup_wrapped", "fitted_slope"],
-                  study.rows())
+                  ((*row, study.fitted_slope) for row in
+                   zip(study.levels, study.eps, study.sup_raw, study.sup_wrapped)))
     out.finish()
     print(f"fitted slope {study.fitted_slope:.4f} "
           f"(preserved rate {sched.preserved_rate:.4f})")
@@ -469,7 +468,7 @@ def _cmd_quasipos(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespac
                      float(members.min(axis=1).max()), eps ** (2.0 / dim), 0.0))
     if dim == 2:
         report = nonlinear_volume_report(2, samples=100_000, seed=args.seed)
-        for box, est, hw in report.rows():
+        for box, est, hw in zip(report.box_sizes, report.estimates, report.halfwidths):
             rows.append(("plane_volume", box, est, 5.0 / 3.0, 3.0 * hw))
     out.write_csv("quasipos.csv",
                   ["experiment", "parameter", "value", "reference", "slack"], rows)
@@ -509,9 +508,7 @@ def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) 
     u0s = np.stack([_initial_state(traj, "domain.initials", grid, n)
                     for traj in cfg.require("domain", "initials").split(";")])
 
-    with _keyed("schedule.levels"):
-        levels = check_levels(
-            _parse_levels("schedule.levels", cfg.get("schedule", "levels", "1,2,3")))
+    levels = _parse_levels("schedule.levels", cfg.get("schedule", "levels", "1,2,3"))
     # each value's own range is checked as it is read, and named by its key;
     # what make_schedule rejects is a combination of them
     alpha = cfg.getfloat("schedule", "alpha", minimum=1.0)
@@ -544,8 +541,7 @@ def _cmd_learn(cfg: ExperimentConfig, out: OutputDir, args: argparse.Namespace) 
             for op in ops:
                 op.check_grid(grid)
     if args.levels:  # --levels picks levels of schedule.levels
-        with _keyed("--levels"):
-            picked = check_levels(_parse_levels("--levels", args.levels))
+        picked = _parse_levels("--levels", args.levels)
         if not set(picked) <= set(levels):
             raise ConfigError(f"--levels: {picked} are not all levels of schedule.levels {levels}")
         scheds, ops = zip(*[(s, op) for s, op in zip(scheds, ops) if s.m in picked])
@@ -590,7 +586,9 @@ def _cmd_convergence(cfg: ExperimentConfig, out: OutputDir, args: argparse.Names
         extent=cfg.getfloat("domain", "extent", default=1.0, minimum=0.0),
         horizon=cfg.getfloat("grid", "horizon", default=0.5, minimum=0.0),
     )
-    out.write_csv("convergence.csv", ["kind", "spacing", "error"], study.rows())
+    rows = [("space", *row) for row in zip(study.spatial_h, study.spatial_errors)]
+    rows += [("time", *row) for row in zip(study.temporal_dt, study.temporal_errors)]
+    out.write_csv("convergence.csv", ["kind", "spacing", "error"], rows)
     out.write_csv("orders.csv", ["direction", "order"],
                   [("space", study.spatial_order), ("time", study.temporal_order)])
     out.finish()

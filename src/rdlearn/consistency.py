@@ -115,6 +115,8 @@ class ConsistentReaction(ReactionTerm):
     def __init__(self, base: ReactionTerm, chi: TransitionFunction, lipschitz=None):
         if not isinstance(chi, TransitionFunction):
             raise TypeError(f"chi must be one TransitionFunction, got {type(chi).__name__}")
+        if lipschitz is not None and not 0.0 <= float(lipschitz) < math.inf:  # NaN fails too
+            raise ValueError(f"lipschitz must be a finite number >= 0, got {lipschitz}")
         self.base = base
         self.n_species = base.n_species
         self.chi = chi
@@ -238,7 +240,7 @@ def wrap(f: ReactionTerm, chi, lipschitz=None) -> ConsistentReaction:
     chi : TransitionFunction
         The cutoff of every component; any other type raises TypeError.
     lipschitz : float, optional
-        Externally supplied Lipschitz bound (labelled "sampled").
+        Externally supplied Lipschitz bound, finite and >= 0 (labelled "sampled").
     """
     return ConsistentReaction(f, chi, lipschitz=lipschitz)
 
@@ -289,12 +291,6 @@ class RateStudy:
     sup_raw: np.ndarray
     sup_wrapped: np.ndarray
     fitted_slope: float
-
-    def rows(self):
-        for i in range(self.levels.size):
-            yield (int(self.levels[i]), float(self.eps[i]),
-                   float(self.sup_raw[i]), float(self.sup_wrapped[i]),
-                   self.fitted_slope)
 
 
 def rate_preservation_study(f_target: ReactionTerm, approx_family,

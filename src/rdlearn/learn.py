@@ -192,8 +192,8 @@ class LevelSchedule:
         for name in ("eps", "lam", "mu", "psi"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.nu < 0 or self.delta < 0:
-            raise ValueError("nu and delta must be nonnegative")
+        if not (self.nu >= 0 and self.delta >= 0):  # NaN fails too
+            raise ValueError(f"nu and delta must be nonnegative, got {self.nu} and {self.delta}")
 
 
 def check_levels(levels) -> list[int]:

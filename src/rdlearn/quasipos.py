@@ -147,23 +147,24 @@ class BoundaryMeasure:
 
     def measure(self, x: float) -> float:
         """Layer volume at width x: exact on the unit cube, sampled otherwise."""
-        x = float(x)
-        if x < 0.0:
-            raise ValueError(f"layer width must be >= 0, got {x}")
-        if x == 0.0:
-            return 0.0
         if self.is_unit_cube:
-            return 1.0 - (1.0 - min(x, 1.0)) ** self.dim
+            return 1.0 - (1.0 - min(_width(x), 1.0)) ** self.dim
         return self.estimate(x)[0]
 
     def estimate(self, x: float) -> tuple[float, float]:
         """(sampled volume, half-width), available on any box."""
-        x = float(x)
-        if x < 0.0:
-            raise ValueError(f"layer width must be >= 0, got {x}")
+        x = _width(x)
         if x == 0.0:
             return 0.0, 0.0
         return _sampled_volume(BoundaryLayer(x, hi=self.hi), self.samples, self.seed)
+
+
+def _width(x: float) -> float:
+    """A layer width as a float, checked to be >= 0 (NaN fails)."""
+    x = float(x)
+    if not x >= 0.0:
+        raise ValueError(f"layer width must be >= 0, got {x}")
+    return x
 
 
 def _sampled_volume(layer: BoundaryLayer, samples: int, seed: int) -> tuple[float, float]:
@@ -179,21 +180,6 @@ def _sampled_volume(layer: BoundaryLayer, samples: int, seed: int) -> tuple[floa
     return vol * p, vol * math.sqrt(p * (1.0 - p) / samples)
 
 
-@dataclass(frozen=True)
-class ModifiedFunction:
-    """A scalar field with its negative part ramped off near the faces."""
-
-    base: object
-    layer: BoundaryLayer
-    chi: TransitionFunction = dataclasses.field(repr=False)
-
-    def __call__(self, points) -> np.ndarray:
-        pts, single = self.layer._normalize(points)
-        v = np.asarray(self.base(pts), dtype=float).reshape(pts.shape[0])
-        out = lift(v, self.chi.evaluate(self.layer._level(pts)))
-        return out[0] if single else out
-
-
 def modify(f, layer: BoundaryLayer, delta: float):
     """Make a continuous scalar field nonnegative on the coordinate faces.
 
@@ -203,7 +189,14 @@ def modify(f, layer: BoundaryLayer, delta: float):
     faces themselves with no tolerance. delta must lie in (0, eps).
     """
     chi = TransitionFunction(layer.eps, float(delta), default_kernel())
-    return ModifiedFunction(f, layer, chi)
+
+    def modified(points) -> np.ndarray:
+        pts, single = layer._normalize(points)
+        v = np.asarray(f(pts), dtype=float).reshape(pts.shape[0])
+        out = lift(v, chi.evaluate(layer._level(pts)))
+        return out[0] if single else out
+
+    return modified
 
 
 @dataclass
@@ -216,12 +209,6 @@ class ApproximationStudy:
     raw_error: np.ndarray
     modified_error: np.ndarray
     boundary_min: np.ndarray
-
-    def rows(self):
-        """(m, eps, delta, raw_error, modified_error) per level, for CSV."""
-        for i in range(self.levels.size):
-            yield (int(self.levels[i]), float(self.eps[i]), float(self.delta[i]),
-                   float(self.raw_error[i]), float(self.modified_error[i]))
 
 
 def approximation_experiment(f_target, approx_family, eps_seq, delta_seq,
@@ -255,6 +242,8 @@ def approximation_experiment(f_target, approx_family, eps_seq, delta_seq,
         raise ValueError("error norms need a bounded box domain")
     if norm not in ("sup", "lp"):
         raise ValueError(f"norm must be 'sup' or 'lp', got {norm!r}")
+    if norm == "lp" and not 1.0 <= p < np.inf:  # NaN fails too
+        raise ValueError(f"p must be a finite number >= 1, got {p}")
 
     lo = np.zeros(layer.dim)
     hi = np.asarray(layer.hi)
@@ -294,12 +283,15 @@ def approximation_experiment(f_target, approx_family, eps_seq, delta_seq,
                               raw, modified, face_min)
 
 
-def sample_members(layer: BoundaryLayer, count: int, seed: int = 0,
-                   max_draws: int = 5_000_000) -> np.ndarray:
+# proposals `sample_members` draws before it calls a layer too thin
+_MAX_DRAWS = 5_000_000
+
+
+def sample_members(layer: BoundaryLayer, count: int, seed: int = 0) -> np.ndarray:
     """Uniform members of the layer, by rejection from a box.
 
     For unbounded layers the proposals come from [0, 4]^dim. Raises
-    RuntimeError when fewer than `count` members turn up within max_draws
+    RuntimeError when fewer than `count` members turn up within _MAX_DRAWS
     proposals (the layer is too thin for this box).
     """
     if count < 1:
@@ -313,7 +305,7 @@ def sample_members(layer: BoundaryLayer, count: int, seed: int = 0,
     drawn = 0
     batch = max(4 * count, 10_000)
     while found < count:
-        if drawn >= max_draws:
+        if drawn >= _MAX_DRAWS:
             raise RuntimeError(
                 f"collected {found}/{count} members after {drawn} proposals; "
                 "the layer is too thin for rejection sampling at this box size"
@@ -342,11 +334,6 @@ class VolumeReport:
             return False
         gap = abs(float(self.estimates[-1]) - float(self.estimates[-2]))
         return gap <= 3.0 * (float(self.halfwidths[-1]) + float(self.halfwidths[-2]))
-
-    def rows(self):
-        for i in range(self.box_sizes.size):
-            yield (float(self.box_sizes[i]), float(self.estimates[i]),
-                   float(self.halfwidths[i]))
 
 
 def nonlinear_volume_report(dim: int, box_sizes=(2.0, 4.0, 8.0, 16.0),

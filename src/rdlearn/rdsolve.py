@@ -101,8 +101,8 @@ class SpaceTimeGrid:
         return SpaceTimeGrid(self.extents, nodes, self.horizon, time * self.steps)
 
     def check_reaction_guard(self, lipschitz: float) -> None:
-        if lipschitz < 0:
-            raise ValueError("Lipschitz bound must be nonnegative")
+        if not 0 <= lipschitz < np.inf:  # NaN fails too
+            raise ValueError(f"Lipschitz bound must be a finite number >= 0, got {lipschitz}")
         if self.dt * lipschitz > 0.5:
             good = 0.5 / lipschitz
             raise StabilityError(
@@ -407,13 +407,6 @@ class ConvergenceStudy:
     temporal_dt: np.ndarray
     temporal_errors: np.ndarray
     temporal_order: float
-
-    def rows(self):
-        """(kind, spacing, error) rows for CSV output."""
-        for h, e in zip(self.spatial_h, self.spatial_errors):
-            yield ("space", float(h), float(e))
-        for dt, e in zip(self.temporal_dt, self.temporal_errors):
-            yield ("time", float(dt), float(e))
 
 
 def manufactured_convergence(diffusion: float = 0.7, extent: float = 1.0,

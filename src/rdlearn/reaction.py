@@ -154,7 +154,9 @@ def _lotka_volterra():
     return AnalyticReaction("lotka-volterra", 2, fn, jac)
 
 
-def _gray_scott(feed=0.04, kill=0.06):
+def _gray_scott():
+    feed, kill = 0.04, 0.06
+
     def fn(u):
         a, s = u[:, 0], u[:, 1]
         r = a * s * s
@@ -179,18 +181,15 @@ _CATALOG = {
 }
 
 
-def make_reaction(name: str, **params) -> ReactionTerm:
-    """Catalog lookup by name: fisher-kpp | lotka-volterra | gray-scott.
-
-    gray-scott accepts feed/kill rate overrides.
-    """
+def make_reaction(name: str) -> ReactionTerm:
+    """Catalog lookup by name: fisher-kpp | lotka-volterra | gray-scott."""
     try:
         factory = _CATALOG[name]
     except KeyError:
         raise ValueError(
             f"unknown reaction {name!r}; catalog: {sorted(_CATALOG)}"
         ) from None
-    return factory(**params)
+    return factory()
 
 
 class MLPReaction(ReactionTerm):
@@ -408,6 +407,9 @@ def load_params(path):
     for line in header[1:7]:
         key, _, val = line.lstrip("# ").partition(":")
         meta[key.strip()] = val.strip()
+    missing = [k for k in ("species", "widths", "level", "seed", "eps", "count") if k not in meta]
+    if missing:
+        raise ValueError(f"{path}: header has no {missing[0]!r} line")
     widths = tuple(int(w) for w in meta["widths"].split(","))
     theta = np.array([float(v) for v in raw[8:] if v.strip()], dtype=float)
     if theta.size != int(meta["count"]):

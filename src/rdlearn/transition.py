@@ -178,9 +178,6 @@ class TransitionFunction:
         """Exact sup |chi'| = eta(0) / delta (the ramp midpoint slope)."""
         return self.kernel.sup_value / self.delta
 
-    def __repr__(self) -> str:
-        return f"TransitionFunction(eps={self.eps}, delta={self.delta})"
-
 
 def build_mollified_heaviside(eps: float, kernel: MollifierKernel | None = None) -> TransitionFunction:
     """Transition function from mollifying the step 1_{x <= eps}.

@@ -18,9 +18,10 @@ import pytest
 import rdlearn
 from rdlearn.cli import (ConfigError, ExperimentConfig, _fmt, _parse_levels, _trajectory_blocks,
                          main, shipped_config)
-from rdlearn.consistency import wrap
-from rdlearn.rdsolve import DiffusionSpec, SpaceTimeGrid, solve
-from rdlearn.reaction import make_reaction
+from rdlearn.consistency import WrapperSchedule, rate_preservation_study, wrap
+from rdlearn.quasipos import nonlinear_volume_report
+from rdlearn.rdsolve import DiffusionSpec, SpaceTimeGrid, manufactured_convergence, solve
+from rdlearn.reaction import AnalyticReaction, make_reaction
 from rdlearn.transition import TransitionFunction, default_kernel
 
 
@@ -560,6 +561,38 @@ def test_convergence_study_orders(tmp_path):
     orders = dict(zip(data["direction"], data["order"]))
     assert orders["space"] == pytest.approx(2.0, abs=0.2)
     assert orders["time"] == pytest.approx(1.0, abs=0.2)
+
+
+def test_csv_rows_are_the_library_arrays_at_17_digits(tmp_path):
+    """rates.csv, convergence.csv and the plane_volume rows of quasipos.csv
+    hold the arrays the library returns for the same inputs, each float
+    written %.17g: the CLI alone turns these records into rows."""
+    cfg = write(tmp_path, "[schedule]\nlevels = 4,8,16\n")
+    for command in (["wrap-rates", "--config", cfg], ["quasipos"], ["convergence-study"]):
+        assert main([*command, "--out", str(tmp_path / command[0])]) == 0
+
+    def rows(command, name):
+        with open(tmp_path / command / name, encoding="utf-8") as fh:
+            return fh.read().splitlines()[1:]
+
+    g = "%.17g".__mod__
+    target = AnalyticReaction("cubic-target", 1, lambda u: -(u ** 2) * (1.0 - u))
+    rates = rate_preservation_study(
+        target, lambda m: AnalyticReaction("shift", 1, lambda u: -(u ** 2) * (1.0 - u) + 1.0 / m),
+        WrapperSchedule(2.0, 1.0, 0.5), [0.0], [1.0], [4, 8, 16])
+    assert rows("wrap-rates", "rates.csv") == [
+        f"{m},{g(e)},{g(raw)},{g(wrapped)},{g(rates.fitted_slope)}"
+        for m, e, raw, wrapped in zip(rates.levels, rates.eps, rates.sup_raw, rates.sup_wrapped)]
+
+    study = manufactured_convergence()
+    assert rows("convergence-study", "convergence.csv") == (
+        [f"space,{g(h)},{g(e)}" for h, e in zip(study.spatial_h, study.spatial_errors)]
+        + [f"time,{g(dt)},{g(e)}" for dt, e in zip(study.temporal_dt, study.temporal_errors)])
+
+    report = nonlinear_volume_report(2, samples=100_000, seed=0)
+    assert [r for r in rows("quasipos", "quasipos.csv") if r.startswith("plane_volume,")] == [
+        f"plane_volume,{g(box)},{g(est)},{g(5.0 / 3.0)},{g(3.0 * hw)}"
+        for box, est, hw in zip(report.box_sizes, report.estimates, report.halfwidths)]
 
 
 def test_check_passes_for_wrapped_fisher(tmp_path):

@@ -97,6 +97,13 @@ def test_wrap_takes_one_cutoff():
     assert wrap(f, chi, lipschitz=4.0).chi is chi
 
 
+@pytest.mark.parametrize("lipschitz", [math.nan, math.inf, -1.0])
+def test_wrap_refuses_a_given_bound_that_is_not_a_finite_number_at_least_0(lipschitz):
+    """A NaN bound would make K1 = growth_K = nan and pass the step guard."""
+    with pytest.raises(ValueError, match="lipschitz must be a finite number >= 0"):
+        wrap(make_reaction("fisher-kpp"), build_mollified_heaviside(0.2), lipschitz=lipschitz)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("rows", [150, 1500, 4000])
 def test_shared_cutoff_is_one_call_with_per_column_bits(n, rows, monkeypatch):
@@ -498,8 +505,7 @@ def test_rate_preservation_shift_family():
     assert study.fitted_slope == pytest.approx(-0.9842316432901194, abs=1e-8)
     assert -1.15 <= study.fitted_slope <= -0.85
     assert sched.preserved_rate == 1.0
-    rows = list(study.rows())
-    assert rows[0][0] == 4 and rows[0][1] == 0.5
+    assert study.levels[0] == 4 and study.eps[0] == 0.5
 
 
 def test_rate_preservation_exact_approximants():

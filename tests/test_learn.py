@@ -251,6 +251,11 @@ def test_level_schedule_field_validation():
         LevelSchedule(m=0, eps=1.0, lam=1.0, mu=1.0, nu=0.1, delta=0.5, psi=1.0)
     with pytest.raises(ValueError, match="lam must be positive"):
         LevelSchedule(m=1, eps=1.0, lam=0.0, mu=1.0, nu=0.1, delta=0.5, psi=1.0)
+    for nu, delta in ((np.nan, 0.5), (0.1, np.nan)):
+        with pytest.raises(ValueError, match="nu and delta must be nonnegative"):
+            LevelSchedule(m=1, eps=1.0, lam=1.0, mu=1.0, nu=nu, delta=delta, psi=1.0)
+    with pytest.raises(ValueError, match="nu and delta must be nonnegative"):
+        make_schedule(2.0, 1.0, 0.5, levels=(1,), nu0=np.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,14 @@ def test_unit_cube_measure_closed_form():
         phi3.measure(-0.1)
 
 
+def test_layer_width_of_nan_is_refused():
+    """measure and estimate share one width check, which NaN fails."""
+    for phi in (BoundaryMeasure([1.0, 1.0]), BoundaryMeasure([2.0, 1.5])):
+        for read in (phi.measure, phi.estimate):
+            with pytest.raises(ValueError, match="layer width must be >= 0, got nan"):
+                read(np.nan)
+
+
 def test_measure_monte_carlo_matches_closed_form():
     phi = BoundaryMeasure([1.0, 1.0, 1.0], samples=200_000)
     for x in (0.1, 0.25, 0.5):
@@ -238,8 +246,8 @@ def test_approximation_experiment_alternating_family():
     assert np.all(np.diff(study.modified_error) < 0.0)
     assert study.modified_error[-1] < study.modified_error[0]
     assert np.all(study.boundary_min >= 0.0)  # exact face check, no tolerance
-    first = next(iter(study.rows()))
-    assert first == (1, 0.4, 0.2, pytest.approx(1.0), pytest.approx(1.0))
+    assert (study.levels[0], study.eps[0], study.delta[0]) == (1, 0.4, 0.2)
+    assert (study.raw_error[0], study.modified_error[0]) == (pytest.approx(1.0),) * 2
 
 
 def test_approximation_experiment_zero_target():
@@ -287,6 +295,9 @@ def test_approximation_experiment_validation():
         approximation_experiment(f, fam, [0.4, 0.2], [0.1], layer)
     with pytest.raises(ValueError, match="norm"):
         approximation_experiment(f, fam, [0.4, 0.2], [0.2, 0.1], layer, norm="l1")
+    for p in (0.0, -1.0, 0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="p must be a finite number >= 1"):
+            approximation_experiment(f, fam, [0.4, 0.2], [0.2, 0.1], layer, norm="lp", p=p)
     unbounded = BoundaryLayer(eps=0.5, mode="nonlinear", dim=1)
     with pytest.raises(ValueError, match="bounded box"):
         approximation_experiment(f, fam, [0.4, 0.2], [0.2, 0.1], unbounded)
@@ -307,7 +318,7 @@ def test_nonlinear_level_one_volume():
     assert report.stable
     # the plane section below level 1 is the unit square plus two x^{-4} tails
     assert abs(report.estimates[-1] - 5.0 / 3.0) <= 3.0 * report.halfwidths[-1]
-    assert list(report.rows())[0][0] == 2.0
+    assert report.box_sizes[0] == 2.0
     with pytest.raises(ValueError, match="increase"):
         nonlinear_volume_report(2, box_sizes=(4.0, 2.0))
 
@@ -315,7 +326,7 @@ def test_nonlinear_level_one_volume():
 def test_sample_members_validation():
     layer = BoundaryLayer(eps=1e-9, mode="metric", hi=(4.0, 4.0))
     with pytest.raises(RuntimeError, match="too thin"):
-        sample_members(layer, 100, max_draws=50_000)
+        sample_members(layer, 100)
     with pytest.raises(ValueError, match="count"):
         sample_members(layer, 0)
 

@@ -180,9 +180,8 @@ def test_manufactured_solution_orders():
     assert 0.8 <= study.temporal_order <= 1.2
     assert np.all(np.diff(study.spatial_errors) < 0)
     assert np.all(np.diff(study.temporal_errors) < 0)
-    rows = list(study.rows())
-    assert len(rows) == 8
-    assert rows[0][0] == "space" and rows[-1][0] == "time"
+    assert study.spatial_h.size == study.spatial_errors.size == 4
+    assert study.temporal_dt.size == study.temporal_errors.size == 4
 
 
 def test_manufactured_orders_are_stable():
@@ -258,6 +257,27 @@ def test_guard_uses_explicit_override():
     with pytest.raises(StabilityError):
         solve(fisher, DiffusionSpec.uniform(0.05, 1), cosine_profile(g), g, lipschitz=1000.0)
     solve(fisher, DiffusionSpec.uniform(0.05, 1), cosine_profile(g), g, lipschitz=3.0)
+
+
+@pytest.mark.parametrize("lipschitz", [np.nan, np.inf, -1.0])
+def test_guard_refuses_a_bound_that_is_not_a_finite_number_at_least_0(lipschitz):
+    """3u(1 - u) needs more than 4 steps at L = 3; a NaN bound fails both of
+    the guard's comparisons, and must not switch the guard off."""
+    logistic = AnalyticReaction("logistic", 1, lambda u: 3.0 * u * (1.0 - u))
+    args = (logistic, DiffusionSpec.uniform(0.1, 1), np.full((1, 11), 0.5),
+            SpaceTimeGrid(1.0, 11, 1.0, 4))
+    with pytest.raises(StabilityError):
+        solve(*args, lipschitz=3.0)
+    with pytest.raises(ValueError, match="finite number >= 0, got"):
+        solve(*args, lipschitz=lipschitz)
+
+
+def test_guard_refuses_a_sampled_bound_of_nan():
+    """A term that is NaN on part of its box gets a sampled bound of NaN."""
+    f = AnalyticReaction("nan-below-0", 1, lambda u: np.where(u < 0.0, np.nan, u * (1.0 - u)))
+    with pytest.raises(ValueError, match="finite number >= 0, got nan"):
+        solve(f, DiffusionSpec.uniform(0.1, 1), np.full((1, 11), 0.5),
+              SpaceTimeGrid(1.0, 11, 1.0, 4))
 
 
 def box_leaving_problem():

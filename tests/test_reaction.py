@@ -26,7 +26,7 @@ def test_catalog_fixed_points():
     fk = make_reaction("fisher-kpp")
     assert fk.eval(np.array([0.0]))[0] == 0.0
     assert fk.eval(np.array([1.0]))[0] == 0.0
-    gs = make_reaction("gray-scott", feed=0.03, kill=0.055)
+    gs = make_reaction("gray-scott")
     v = gs.eval(np.array([1.0, 0.0]))
     assert v.tolist() == [0.0, 0.0]
 
@@ -348,6 +348,14 @@ def test_parameter_file_header_validation(tmp_path):
     path = tmp_path / "broken.params"
     path.write_text("not a header\n0.0\n")
     with pytest.raises(ValueError, match="header"):
+        load_params(path)
+
+
+def test_parameter_file_missing_header_key_names_file_and_key(tmp_path):
+    path = tmp_path / "weights.params"
+    save_params(path, MLPReaction.from_seed((1, 6, 1), seed=9), level=3, seed=9, eps=0.5)
+    path.write_text(path.read_text().replace("# count:", "# counted:"))
+    with pytest.raises(ValueError, match="weights.params: header has no 'count' line"):
         load_params(path)
 
 
